@@ -228,12 +228,14 @@ double BidCurve::best_achievable_fp() const {
 }
 
 BidCurve ZoneFailureModel::bid_curve(const MarketZoneState& st,
-                                     int horizon_minutes) const {
+                                     int horizon_minutes,
+                                     double fp_prime) const {
+  if (fp_prime < 0 || fp_prime >= 1) throw std::invalid_argument("bad FP'");
   int state = chain_.nearest_state(st.price);
   int age = chain_.clamped_age(state, st.age_minutes);
   auto memo = cache_->entry(state, age, horizon_minutes, chain_.state_count());
   return BidCurve(&chain_, state, st.age_minutes, horizon_minutes, st.price,
-                  std::min(on_demand_, st.on_demand), fp_prime_, estimator_,
+                  std::min(on_demand_, st.on_demand), fp_prime, estimator_,
                   cache_, std::move(memo));
 }
 
@@ -282,7 +284,7 @@ FailureModelBook FailureModelBook::train(const TraceBook& book,
 void FailureModelBook::extend(const TraceBook& book, InstanceKind kind,
                               const std::vector<int>& zones,
                               SimTime history_start, SimTime from, SimTime to,
-                              double fp_prime, OobEstimator est) {
+                              OobEstimator est) {
   for (int zone : zones) {
     if (has(zone)) {
       auto it = std::lower_bound(
@@ -295,7 +297,8 @@ void FailureModelBook::extend(const TraceBook& book, InstanceKind kind,
     } else {
       SpotTrace slice = book.trace(zone, kind).slice(history_start, to);
       PriceTick od = PriceTick::from_money(on_demand_price_zone(zone, kind));
-      set(zone, ZoneFailureModel::train(slice, od, fp_prime, est));
+      set(zone, ZoneFailureModel::train(slice, od,
+                                        kOnDemandFailureProbability, est));
     }
   }
 }

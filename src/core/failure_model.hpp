@@ -157,7 +157,14 @@ class ZoneFailureModel {
                             int horizon_minutes) const;
 
   /// Runs the transient analysis once and returns the full bid curve.
-  BidCurve bid_curve(const MarketZoneState& st, int horizon_minutes) const;
+  BidCurve bid_curve(const MarketZoneState& st, int horizon_minutes) const {
+    return bid_curve(st, horizon_minutes, fp_prime_);
+  }
+  /// As above, composed with a caller's FP' instead of the model's: the
+  /// transient values do not depend on FP', so services with different
+  /// baseline failure probabilities share one model and its cache.
+  BidCurve bid_curve(const MarketZoneState& st, int horizon_minutes,
+                     double fp_prime) const;
 
   PriceTick on_demand() const { return on_demand_; }
   double fp_prime() const { return fp_prime_; }
@@ -208,13 +215,13 @@ class FailureModelBook {
 
   /// Incremental counterpart of train(): folds the change points in
   /// [from, to) into every warm zone model; a zone without a model yet is
-  /// trained from scratch over [history_start, to).  Keeping models warm
-  /// between bidding decisions replaces the O(full history) retrain per
-  /// interval with an O(new points) update.
+  /// trained from scratch over [history_start, to) with the default FP'
+  /// (callers pass their own to bid_curve).  Keeping models warm between
+  /// bidding decisions replaces the O(full history) retrain per interval
+  /// with an O(new points) update.
   void extend(const TraceBook& book, InstanceKind kind,
               const std::vector<int>& zones, SimTime history_start,
               SimTime from, SimTime to,
-              double fp_prime = kOnDemandFailureProbability,
               OobEstimator est = OobEstimator::kFirstPassage);
 
   /// Transient-cache counters summed across all zone models.

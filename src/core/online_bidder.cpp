@@ -124,7 +124,8 @@ BidDecision OnlineBidder::decide(const FailureModelBook& models,
   for (const auto& st : snapshot) {
     if (!models.has(st.zone)) continue;
     curves.emplace_back(
-        st.zone, models.model(st.zone).bid_curve(st, opts_.horizon_minutes));
+        st.zone, models.model(st.zone).bid_curve(st, opts_.horizon_minutes,
+                                                 spec.baseline_fp));
   }
 
   // Fill every zone's threshold curve up front, in parallel.  The size loop

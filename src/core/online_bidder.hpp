@@ -62,7 +62,9 @@ class OnlineBidder {
   explicit OnlineBidder(Options opts) : opts_(opts) {}
 
   /// One bidding decision (Fig. 3).  `snapshot` must cover every zone that
-  /// `models` knows; zones without a feasible bid are skipped.
+  /// `models` knows; zones without a feasible bid are skipped.  Failure
+  /// probabilities compose with `spec.baseline_fp` as FP' (Eq. 4), not with
+  /// the FP' the models were built with.
   BidDecision decide(const FailureModelBook& models,
                      const MarketSnapshot& snapshot,
                      const ServiceSpec& spec) const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 
 #include "obs/obs.hpp"
 #include "quorum/availability.hpp"
@@ -12,11 +13,17 @@ JupiterStrategy::JupiterStrategy(const TraceBook& book, ServiceSpec spec,
                                  SimTime history_start,
                                  OnlineBidder::Options opts,
                                  OobEstimator estimator)
-    : book_(book),
-      spec_(std::move(spec)),
-      history_start_(history_start),
-      bidder_(opts),
-      estimator_(estimator) {}
+    : JupiterStrategy(std::make_shared<WarmFailureModels>(
+                          book, spec.kind, history_start, estimator),
+                      spec, opts) {}
+
+JupiterStrategy::JupiterStrategy(std::shared_ptr<WarmFailureModels> models,
+                                 ServiceSpec spec, OnlineBidder::Options opts)
+    : models_(std::move(models)), spec_(std::move(spec)), bidder_(opts) {
+  if (!models_ || models_->kind() != spec_.kind) {
+    throw std::invalid_argument("JupiterStrategy: models of another kind");
+  }
+}
 
 StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
                                          SimTime now,
@@ -28,7 +35,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
                              const StrategyDecision& d) {
     if (obs::Registry* reg = obs::metrics()) {
       reg->counter("core.decisions", {{"outcome", outcome}}).inc();
-      TransientCache::Stats cs = models_.cache_stats();
+      TransientCache::Stats cs = models_->cache_stats();
       reg->gauge("core.cache_hits").set(static_cast<double>(cs.hits));
       reg->gauge("core.cache_misses").set(static_cast<double>(cs.misses));
       reg->gauge("core.cache_hit_rate").set(cs.hit_rate());
@@ -43,19 +50,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
   std::vector<int> zones;
   zones.reserve(snapshot.size());
   for (const auto& st : snapshot) zones.push_back(st.zone);
-  if (incremental_ && warm_) {
-    // Fold only the change points observed since the previous decision into
-    // the warm models.  extend() is exact — the resulting chains (and hence
-    // every decision below) are bit-identical to a full retrain.
-    models_.extend(book_, spec_.kind, zones, history_start_, trained_to_, now,
-                   spec_.baseline_fp, estimator_);
-  } else {
-    models_ = FailureModelBook::train(book_, spec_.kind, zones, history_start_,
-                                      now, spec_.baseline_fp, estimator_);
-    warm_ = incremental_;
-  }
-  trained_to_ = now;
-  const FailureModelBook& models = models_;
+  const FailureModelBook& models = models_->advance_to(zones, now);
 
   ++decisions_;
 
@@ -82,7 +77,8 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
         if (s.zone == h.zone) st = &s;
       }
       if (!st || !models.has(h.zone)) return false;
-      BidCurve curve = models.model(h.zone).bid_curve(*st, horizon);
+      BidCurve curve =
+          models.model(h.zone).bid_curve(*st, horizon, spec_.baseline_fp);
       double fp = curve.fp_at(h.bid);
       if (fp >= 1.0) return false;  // bid underwater or at/above on-demand
       fps.push_back(fp);

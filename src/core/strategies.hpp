@@ -10,6 +10,7 @@
 #include "core/market_state.hpp"
 #include "core/online_bidder.hpp"
 #include "core/service_spec.hpp"
+#include "core/warm_models.hpp"
 
 namespace jupiter {
 
@@ -38,18 +39,24 @@ class BiddingStrategy {
 /// The paper's availability- and cost-aware framework.  Folds newly observed
 /// price data into its failure models before every decision ("with more and
 /// more spot prices data collected, the estimation can be improved", §4).
-/// The models are kept warm between decisions: the first decision trains
+/// The models live in a WarmFailureModels owner: the first decision trains
 /// from scratch over [history_start, now), every later one extends the
-/// existing chains with just the change points since the previous decision
-/// (FailureModelBook::extend) — same models, O(new points) instead of
-/// O(full history) per interval.
+/// existing chains with just the change points since the previous advance
+/// — same models, O(new points) instead of O(full history) per interval.
 class JupiterStrategy : public BiddingStrategy {
  public:
-  /// `book` must outlive the strategy.  Training uses the window
-  /// [history_start, decision time).
+  /// Private models: `book` must outlive the strategy.  Training uses the
+  /// window [history_start, decision time).
   JupiterStrategy(const TraceBook& book, ServiceSpec spec,
                   SimTime history_start, OnlineBidder::Options opts,
                   OobEstimator estimator = OobEstimator::kFirstPassage);
+
+  /// Shared models: reads the models through `models`, which other
+  /// strategies of the same instance kind may share (the fleet hands one
+  /// owner to every Jupiter service of a cluster).  Decisions equal those
+  /// of a strategy with private models over the same book and window.
+  JupiterStrategy(std::shared_ptr<WarmFailureModels> models, ServiceSpec spec,
+                  OnlineBidder::Options opts);
 
   std::string name() const override { return "Jupiter"; }
   StrategyDecision decide(const MarketSnapshot& snapshot, SimTime now,
@@ -65,31 +72,22 @@ class JupiterStrategy : public BiddingStrategy {
     bidder_.set_horizon_minutes(minutes);
   }
 
-  /// Benchmarks only: disables warm models, forcing a full retrain (and
-  /// cold transient caches) every decision.  Decisions are identical either
-  /// way — incremental training is exact — so this isolates the cost of the
-  /// naive path.
-  void set_incremental(bool on) { incremental_ = on; }
+  /// Benchmarks only: see WarmFailureModels::set_incremental.
+  void set_incremental(bool on) { models_->set_incremental(on); }
 
-  /// Transient-cache counters summed over the warm models.
-  TransientCache::Stats cache_stats() const { return models_.cache_stats(); }
+  /// Transient-cache counters summed over the models this strategy reads.
+  TransientCache::Stats cache_stats() const { return models_->cache_stats(); }
 
  private:
   /// Cadence of full re-optimizations; between them the strategy only
   /// re-validates the held deployment against the availability constraint.
   static constexpr int kFullRefreshEvery = 6;
 
-  const TraceBook& book_;
+  std::shared_ptr<WarmFailureModels> models_;
   ServiceSpec spec_;
-  SimTime history_start_;
   OnlineBidder bidder_;
-  OobEstimator estimator_;
   BidDecision last_;
   int decisions_ = 0;
-  FailureModelBook models_;
-  bool warm_ = false;
-  bool incremental_ = true;
-  SimTime trained_to_{0};
 };
 
 /// Extra(m, p): take the baseline node count plus m additional nodes in the

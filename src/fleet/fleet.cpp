@@ -8,9 +8,11 @@
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+#include <tuple>
 
 #include "cloud/region.hpp"
 #include "core/market_state.hpp"
+#include "core/warm_models.hpp"
 #include "market/billing.hpp"
 #include "obs/obs.hpp"
 #include "obs/shard.hpp"
@@ -66,6 +68,7 @@ struct ServiceState {
   ServiceConfig cfg;
   std::unique_ptr<BiddingStrategy> strategy;
   bool is_jupiter = false;
+  WarmFailureModels* models = nullptr;  ///< Jupiter: the cluster's shared owner
   Rng rng{0};
   SimTime next_decide;
   bool interval_open = false;
@@ -148,8 +151,13 @@ class Cluster {
     for (ServiceConfig& c : cfgs) {
       ServiceState s;
       s.cfg = std::move(c);
-      s.strategy = make_strategy(shared_, s.cfg.strategy);
       s.is_jupiter = s.cfg.strategy.kind == StrategyKind::kJupiter;
+      std::shared_ptr<WarmFailureModels> models;
+      if (s.is_jupiter) {
+        models = shared_models(s.cfg.strategy);
+        s.models = models.get();
+      }
+      s.strategy = make_strategy(shared_, s.cfg.strategy, std::move(models));
       s.rng = Rng(s.cfg.seed);
       s.next_decide = start_;
       s.out.id = s.cfg.id;
@@ -208,6 +216,22 @@ class Cluster {
     return it->second;
   }
 
+  /// The cluster's warm failure models for a Jupiter service's market
+  /// family: one owner per (instance kind, history start, estimator),
+  /// created on first use and shared by every Jupiter service that bids in
+  /// it.  FP' is per service and stays out of the key.
+  std::shared_ptr<WarmFailureModels> shared_models(const StrategyParams& p) {
+    auto key = std::make_tuple(static_cast<int>(p.spec.kind),
+                               p.history_start.seconds(),
+                               static_cast<int>(p.estimator));
+    std::shared_ptr<WarmFailureModels>& owner = warm_models_[key];
+    if (!owner) {
+      owner = std::make_shared<WarmFailureModels>(shared_, p.spec.kind,
+                                                  p.history_start, p.estimator);
+    }
+    return owner;
+  }
+
   TimeDelta snap_interval(TimeDelta iv) const {
     TimeDelta lo = std::max<TimeDelta>(opts_.epoch, kHour);
     iv = std::max(iv, lo);
@@ -248,8 +272,16 @@ class Cluster {
       TimeDelta interval = 0;
     };
     std::vector<Slot> slots(due.size());
-    // par: owned — each index fills its own pre-allocated decision slot;
-    // decisions are applied sequentially in service order afterwards
+    // The shared failure models train here, on the cluster thread, before
+    // the batch: inside it every Jupiter service's advance_to(t) finds its
+    // owner already at t and only reads the models.
+    for (std::size_t i : due) {
+      if (WarmFailureModels* m = services_[i].models) m->advance_to(zones_, t);
+    }
+    // Each index fills its own pre-allocated decision slot and only reads
+    // the shared failure models (their transient caches are mutex-guarded);
+    // decisions are applied in service order afterwards.
+    // par: owned — slot i and the models' read-only view
     parallel_for(pool_, due.size(), [&](std::size_t i) {
       // Decision batches land on arbitrary pool threads — the cluster
       // thread (shard context installed) among them.  Suppress the context
@@ -624,6 +656,9 @@ class Cluster {
   std::map<std::pair<int, int>, int> market_index_;
   std::vector<SpotMarket> markets_;
   std::vector<std::vector<std::uint32_t>> live_;  ///< per market
+  std::map<std::tuple<int, std::int64_t, int>,
+           std::shared_ptr<WarmFailureModels>>
+      warm_models_;
   std::vector<ServiceState> services_;
   std::vector<Instance> instances_;
   std::vector<InstanceRecord> records_;

@@ -17,7 +17,10 @@
 //     aggregate demand against a piecewise SupplyCurve once per epoch;
 //   * the cleared price is *published* into the cluster's shared TraceBook,
 //     so snapshots, incremental Jupiter training and billing all read the
-//     very prices the fleet itself caused.
+//     very prices the fleet itself caused;
+//   * a cluster's Jupiter services share one set of warm failure models per
+//     (instance kind, history start, estimator) — WarmFailureModels — so
+//     each chain and each transient analysis is computed once per cluster.
 //
 // Determinism contract: services are partitioned into per-AZ-subset
 // clusters with disjoint markets; each cluster is a single-threaded

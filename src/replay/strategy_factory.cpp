@@ -16,10 +16,15 @@ const char* strategy_kind_name(StrategyKind kind) {
   throw std::logic_error("bad strategy kind");
 }
 
-std::unique_ptr<BiddingStrategy> make_strategy(const TraceBook& book,
-                                               const StrategyParams& params) {
+std::unique_ptr<BiddingStrategy> make_strategy(
+    const TraceBook& book, const StrategyParams& params,
+    std::shared_ptr<WarmFailureModels> models) {
   switch (params.kind) {
     case StrategyKind::kJupiter:
+      if (models) {
+        return std::make_unique<JupiterStrategy>(std::move(models),
+                                                 params.spec, params.bidder);
+      }
       return std::make_unique<JupiterStrategy>(book, params.spec,
                                                params.history_start,
                                                params.bidder,

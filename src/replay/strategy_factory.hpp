@@ -37,8 +37,12 @@ struct StrategyParams {
 /// Builds a fresh strategy.  `book` must outlive the result (Jupiter trains
 /// on it incrementally; for a fleet service the book is the cluster's live
 /// endogenous book, so the models fold the fleet's own price impact back
-/// into the next decision).
-std::unique_ptr<BiddingStrategy> make_strategy(const TraceBook& book,
-                                               const StrategyParams& params);
+/// into the next decision).  A kJupiter strategy reads its failure models
+/// through `models` when given — an owner over `book` with the params'
+/// kind, history start and estimator, shared with other strategies — and
+/// through a private owner otherwise.
+std::unique_ptr<BiddingStrategy> make_strategy(
+    const TraceBook& book, const StrategyParams& params,
+    std::shared_ptr<WarmFailureModels> models = nullptr);
 
 }  // namespace jupiter

@@ -73,6 +73,7 @@ std::optional<std::vector<std::uint8_t>> KvStoreState::read(
 
 void KvStoreState::apply_chunk(const paxos::Value& value) {
   StoredChunk c;
+  c.kind = value.kind;
   c.chunk_index = value.chunk_index;
   c.rs_n = value.rs_n;
   c.full_size = value.full_size;
@@ -104,12 +105,14 @@ std::size_t KvStoreState::reconstruct_into(
   std::size_t recovered = 0;
   for (std::uint64_t id : ids) {
     std::vector<std::pair<int, Chunk>> have;
+    paxos::ValueKind kind = paxos::ValueKind::kCommand;
     int rs_n = 0;
     std::uint32_t full_size = 0;
     for (const auto* f : followers) {
       auto it = f->chunks().find(id);
       if (it == f->chunks().end()) continue;
       have.emplace_back(it->second.chunk_index, it->second.bytes);
+      kind = it->second.kind;
       rs_n = it->second.rs_n;
       full_size = it->second.full_size;
     }
@@ -119,8 +122,15 @@ std::size_t KvStoreState::reconstruct_into(
     const ReedSolomon& rs = ReedSolomon::shared(rs_m, rs_n);
     auto data = rs.decode(have, full_size);
     if (!data) continue;
-    out.handle(KvCommand::decode(*data));
-    ++recovered;
+    if (kind == paxos::ValueKind::kBatch) {
+      for (const auto& op : paxos::decode_batch(*data)) {
+        out.handle(KvCommand::decode(op));
+        ++recovered;
+      }
+    } else {
+      out.handle(KvCommand::decode(*data));
+      ++recovered;
+    }
   }
   return recovered;
 }

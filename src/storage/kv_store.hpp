@@ -51,6 +51,8 @@ struct KvResponse {
 
 /// One command chunk held by a follower.
 struct StoredChunk {
+  /// kCommand (one KvCommand) or kBatch (encode_batch framing of several).
+  paxos::ValueKind kind = paxos::ValueKind::kCommand;
   int chunk_index = -1;
   int rs_n = 0;
   std::uint32_t full_size = 0;
@@ -79,7 +81,8 @@ class KvStoreState : public paxos::StateMachine {
   /// Reconstructs the full command stream from >= m chunk logs (one per
   /// follower) and folds it into a fresh state — the disaster-recovery path
   /// that proves any-m-of-n suffices.  Chunk logs must come from distinct
-  /// replicas.  Returns the number of commands recovered.
+  /// replicas.  Batched slots (kBatch) unpack into their commands.  Returns
+  /// the number of commands recovered.
   static std::size_t reconstruct_into(
       const std::vector<const KvStoreState*>& followers, int rs_m,
       KvStoreState& out);

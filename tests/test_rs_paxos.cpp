@@ -3,6 +3,7 @@
 #include <map>
 
 #include "paxos/group.hpp"
+#include "paxos/harness.hpp"
 #include "storage/kv_store.hpp"
 
 namespace jupiter::paxos {
@@ -132,6 +133,60 @@ TEST_F(RsPaxosFixture, AnyThreeChunkLogsReconstructTheStore) {
   auto v = recovered.get("b");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(std::string(v->begin(), v->end()), "bravo");
+}
+
+// The data plane coalesces puts into kBatch slots; each follower's chunk
+// then encodes a whole batch, and recovery must unpack it.
+TEST(RsPaxosDataPlane, ChunkLogsOfBatchedPutsReconstructTheStore) {
+  Replica::Options opts = rs_options();
+  opts.plane = ClusterHarness::data_plane_preset();
+  Simulator sim;
+  SimNetwork net(sim, 31);
+  std::map<NodeId, KvStoreState*> sms;
+  Group group(sim, net, opts,
+              [&sms](NodeId id) {
+                auto sm = std::make_unique<KvStoreState>();
+                sms[id] = sm.get();
+                return sm;
+              },
+              777);
+  group.bootstrap(5);
+  sim.run_until(sim.now() + 120);
+  NodeId lead = group.leader_id();
+  ASSERT_GE(lead, 0);
+
+  // Submitted at one instant, the puts share a flush window and batch.
+  KvClient client(group);
+  int acked = 0;
+  const int kPuts = 12;
+  for (int i = 0; i < kPuts; ++i) {
+    std::string value = "value-" + std::to_string(i);
+    client.put("k" + std::to_string(i),
+               std::vector<std::uint8_t>(value.begin(), value.end()),
+               [&acked](KvResponse r) {
+                 if (r.status == KvStatus::kOk) ++acked;
+               });
+  }
+  sim.run_until(sim.now() + 300);
+  ASSERT_EQ(acked, kPuts);
+
+  std::vector<const KvStoreState*> followers;
+  for (NodeId id : group.node_ids()) {
+    if (id != lead && followers.size() < 3) followers.push_back(sms[id]);
+  }
+  ASSERT_EQ(followers.size(), 3u);
+  // Fewer chunks than puts: the commands really were batched.
+  ASSERT_LT(followers[0]->chunk_count(), static_cast<std::size_t>(kPuts));
+  KvStoreState recovered;
+  EXPECT_EQ(KvStoreState::reconstruct_into(followers, 3, recovered),
+            static_cast<std::size_t>(kPuts));
+  EXPECT_EQ(recovered.keys(), static_cast<std::size_t>(kPuts));
+  for (int i = 0; i < kPuts; ++i) {
+    auto v = recovered.get("k" + std::to_string(i));
+    ASSERT_TRUE(v.has_value()) << i;
+    EXPECT_EQ(std::string(v->begin(), v->end()),
+              "value-" + std::to_string(i));
+  }
 }
 
 TEST_F(RsPaxosFixture, ToleratesExactlyOneFailure) {
