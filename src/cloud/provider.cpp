@@ -16,14 +16,6 @@ PriceTick CloudProvider::spot_price(int zone, InstanceKind kind) const {
   return book_.trace(zone, kind).price_at(sim_.now());
 }
 
-TimeDelta CloudProvider::draw_startup(int zone) {
-  int region = all_zones().at(static_cast<std::size_t>(zone)).region;
-  double mean = region_startup_mean_seconds(region);
-  double jitter = rng_.uniform(0.8, 1.2);
-  auto secs = static_cast<TimeDelta>(mean * jitter);
-  return std::clamp<TimeDelta>(secs, 200, 700);
-}
-
 void CloudProvider::set_state(InstanceRecord& rec, InstanceState st) {
   rec.state = st;
   for (const auto& l : listeners_) l(rec.id, st);
@@ -57,7 +49,7 @@ CloudProvider::InstanceId CloudProvider::request_spot(int zone,
   rec.spot = true;
   rec.bid = bid;
   rec.launched = sim_.now();
-  rec.ready = sim_.now() + draw_startup(zone);
+  rec.ready = sim_.now() + draw_startup(rng_, zone);
   rec.state = InstanceState::kPending;
   instances_.emplace(id, rec);
 
@@ -79,7 +71,7 @@ CloudProvider::InstanceId CloudProvider::launch_on_demand(int zone,
   rec.kind = kind;
   rec.spot = false;
   rec.launched = sim_.now();
-  rec.ready = sim_.now() + draw_startup(zone);
+  rec.ready = sim_.now() + draw_startup(rng_, zone);
   rec.state = InstanceState::kPending;
   instances_.emplace(id, rec);
   sim_.schedule_at(rec.ready, [this, id] { finish_startup(id); });

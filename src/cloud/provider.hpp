@@ -99,7 +99,6 @@ class CloudProvider {
   void out_of_bid(InstanceId id);
   void schedule_next_crash(InstanceId id);
   void record_launch(const InstanceRecord& rec);
-  TimeDelta draw_startup(int zone);
   Money charges_for(const InstanceRecord& rec, SimTime upto) const;
 
   Simulator& sim_;

@@ -1,5 +1,6 @@
 #include "cloud/region.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 #include "util/interner.hpp"
@@ -91,6 +92,13 @@ double region_startup_mean_seconds(int region) {
     throw std::out_of_range("bad region");
   }
   return kMeans[static_cast<std::size_t>(region)];
+}
+
+TimeDelta draw_startup(Rng& rng, int zone) {
+  int region = all_zones().at(static_cast<std::size_t>(zone)).region;
+  double mean = region_startup_mean_seconds(region);
+  auto secs = static_cast<TimeDelta>(mean * rng.uniform(0.8, 1.2));
+  return std::clamp<TimeDelta>(secs, 200, 700);
 }
 
 }  // namespace jupiter

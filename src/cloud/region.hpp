@@ -8,6 +8,9 @@
 #include <string>
 #include <vector>
 
+#include "util/rng.hpp"
+#include "util/time.hpp"
+
 namespace jupiter {
 
 struct RegionInfo {
@@ -44,7 +47,12 @@ std::vector<int> zones_in_region(int region);
 
 /// Mean VM startup latency for a region, in seconds.  Startup times are
 /// 200-700 s and vary mainly by region (Mao & Humphrey; paper §4).
-/// Deterministic per region; per-launch jitter is applied by the provider.
+/// Deterministic per region; draw_startup adds the per-launch jitter.
 double region_startup_mean_seconds(int region);
+
+/// Draws one instance-startup latency for `zone`: the region's mean with
+/// +/-20% jitter, clamped to the paper's 200-700 s band.  The provider, the
+/// replay engine and the fleet all launch through this one draw.
+TimeDelta draw_startup(Rng& rng, int zone);
 
 }  // namespace jupiter

@@ -33,7 +33,7 @@ void BiddingFramework::start(SimTime at) {
   // launch right at `at`, then settle into the prelaunch/boundary cadence.
   sim_.schedule_at(at, [this, at] {
     if (!running_) return;
-    decide_and_prelaunch(at);
+    decide_and_prelaunch();
     apply_boundary(at);  // also arms the next prelaunch/boundary pair
   });
 }
@@ -63,67 +63,32 @@ int BiddingFramework::quorum_needed() const {
   return spec_.quorum(n);
 }
 
-void BiddingFramework::decide_and_prelaunch(SimTime boundary) {
+void BiddingFramework::decide_and_prelaunch() {
   if (!running_) return;
   ++rebids_;
-  MarketSnapshot snapshot = snapshot_at(book_, spec_.kind, zones_, sim_.now());
-  std::vector<ZoneBid> held;
-  for (const auto& h : holdings_) {
-    if (h.spot && provider_.record(h.id).state != InstanceState::kTerminated) {
-      held.push_back(ZoneBid{h.zone, h.bid});
-    }
+  SimTime now = sim_.now();
+  MarketSnapshot snapshot = snapshot_at(book_, spec_.kind, zones_, now);
+  StrategyDecision decision =
+      strategy_.decide(snapshot, now, held_bids(holdings_, now));
+
+  // Launch everything new now so it is (likely) ready by the boundary; the
+  // holdings the decision does not keep retire at the boundary.
+  Reconciliation plan = reconcile(holdings_, decision, now);
+  for (std::size_t i = 0; i < holdings_.size(); ++i) {
+    holdings_[i].retiring = !plan.keep[i];
   }
-  pending_ = strategy_.decide(snapshot, sim_.now(), held);
-  pending_valid_ = true;
-
-  // Launch everything new now so it is (likely) ready by the boundary.
-  // "Keep" means: same zone, same kind of holding, and for spot the same
-  // bid — EC2 cannot change the bid of a live instance.
-  auto keeps_spot = [&](const Holding& h) {
-    if (!h.spot) return false;
-    if (provider_.record(h.id).state == InstanceState::kTerminated) return false;
-    for (const auto& b : pending_.spot_bids) {
-      if (b.zone == h.zone && b.bid == h.bid) return true;
-    }
-    return false;
-  };
-  auto keeps_od = [&](const Holding& h) {
-    if (h.spot) return false;
-    if (provider_.record(h.id).state == InstanceState::kTerminated) return false;
-    return std::find(pending_.on_demand_zones.begin(),
-                     pending_.on_demand_zones.end(),
-                     h.zone) != pending_.on_demand_zones.end();
-  };
-
-  for (auto& h : holdings_) {
-    h.retiring = !(keeps_spot(h) || keeps_od(h));
-  }
-
-  auto zone_held_live = [&](int zone, bool spot, PriceTick bid) {
-    for (const auto& h : holdings_) {
-      if (h.zone == zone && h.spot == spot && !h.retiring &&
-          (!spot || h.bid == bid)) {
-        return true;
-      }
-    }
-    return false;
-  };
-
-  for (const auto& b : pending_.spot_bids) {
-    if (zone_held_live(b.zone, true, b.bid)) continue;
+  for (const ZoneBid& b : plan.spot_launches) {
     auto id = provider_.request_spot(b.zone, spec_.kind, b.bid);
     if (id == 0) continue;  // price already above the bid
-    bool up = provider_.is_up(id);
-    holdings_.push_back(Holding{id, b.zone, b.bid, true, false, up});
+    holdings_.push_back(Instance{{b.zone, b.bid, true}, id, false,
+                                 provider_.is_up(id)});
   }
-  for (int zone : pending_.on_demand_zones) {
-    if (zone_held_live(zone, false, PriceTick())) continue;
+  for (int zone : plan.on_demand_launches) {
     auto id = provider_.launch_on_demand(zone, spec_.kind);
-    holdings_.push_back(Holding{id, zone, PriceTick(), false, false, false});
+    holdings_.push_back(Instance{{zone, PriceTick(), false}, id});
   }
   refresh_quorum_state();
   notify_membership();
-  (void)boundary;
 }
 
 void BiddingFramework::apply_boundary(SimTime boundary) {
@@ -136,15 +101,14 @@ void BiddingFramework::apply_boundary(SimTime boundary) {
       provider_.terminate(h.id);
     }
   }
-  std::erase_if(holdings_, [&](const Holding& h) {
+  std::erase_if(holdings_, [&](const Instance& h) {
     return provider_.record(h.id).state == InstanceState::kTerminated;
   });
   notify_membership();
   refresh_quorum_state();
 
   SimTime next = boundary + opts_.interval;
-  sim_.schedule_at(next - opts_.lead_time,
-                   [this, next] { decide_and_prelaunch(next); });
+  sim_.schedule_at(next - opts_.lead_time, [this] { decide_and_prelaunch(); });
   sim_.schedule_at(next, [this, next] { apply_boundary(next); });
 }
 
@@ -170,7 +134,7 @@ void BiddingFramework::on_instance_event(CloudProvider::InstanceId id,
     refresh_quorum_state();
   } else if (st == InstanceState::kTerminated) {
     // Out-of-bid kill (user terminations happen via apply_boundary/stop).
-    std::erase_if(holdings_, [&](const Holding& h) { return h.id == id; });
+    std::erase_if(holdings_, [&](const Instance& h) { return h.id == id; });
     notify_membership();
     refresh_quorum_state();
   }

@@ -2,15 +2,17 @@
 //
 // At the start of every bidding interval the strategy produces a desired
 // deployment; the framework reconciles the currently held instances against
-// it.  Replacements are overlapped for safety (§4): instances for the next
-// interval are requested a lead time before the boundary (covering the
-// 200-700 s startup), joined to the service as they become ready, and the
-// instances being retired are terminated only at the boundary — the Paxos
-// view change that adds/removes them is driven through the ServiceAdapter.
+// it with the deployment ledger's keep rule (core/deployment.hpp), the one
+// the replay and the fleet use.  Replacements are overlapped for safety
+// (§4): instances for the next interval are requested a lead time before
+// the boundary (covering the 200-700 s startup), joined to the service as
+// they become ready, and the instances being retired are terminated only at
+// the boundary — the Paxos view change that adds/removes them is driven
+// through the ServiceAdapter.
 //
-// The framework also keeps the availability ledger: the service is up
-// whenever at least a quorum of current members is up, and every second
-// below quorum is counted as downtime.
+// Billing is the provider's (it is the bill in a live run).  Availability is
+// counted event by event: the service is up whenever at least a quorum of
+// current members is up, and every second below quorum is downtime.
 #pragma once
 
 #include <map>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "cloud/provider.hpp"
+#include "core/deployment.hpp"
 #include "core/service_spec.hpp"
 #include "core/strategies.hpp"
 #include "sim/simulator.hpp"
@@ -37,7 +40,7 @@ class BiddingFramework {
  public:
   struct Options {
     TimeDelta interval = kHour;     ///< bidding interval (§5.5 sweeps this)
-    TimeDelta lead_time = 700;      ///< replacement lead before the boundary
+    TimeDelta lead_time = kMaxStartupLead;  ///< replacement lead before the boundary
   };
 
   BiddingFramework(Simulator& sim, CloudProvider& provider,
@@ -59,18 +62,18 @@ class BiddingFramework {
   std::vector<CloudProvider::InstanceId> members() const;
 
  private:
-  void decide_and_prelaunch(SimTime boundary);
+  void decide_and_prelaunch();
   void apply_boundary(SimTime boundary);
   void on_instance_event(CloudProvider::InstanceId id, InstanceState st);
   void refresh_quorum_state();
   void notify_membership();
   int quorum_needed() const;
 
-  struct Holding {
+  /// A held instance: the ledger's holding (never dead here — a terminated
+  /// instance leaves holdings_ as the provider reports it) plus its provider
+  /// id and its place in the replication view.
+  struct Instance : Holding {
     CloudProvider::InstanceId id = 0;
-    int zone = -1;
-    PriceTick bid;     // spot only
-    bool spot = true;
     bool retiring = false;  // leaves at the next boundary
     bool joined = false;    // part of the replication view (post-startup)
   };
@@ -84,9 +87,7 @@ class BiddingFramework {
   Options opts_;
   ServiceAdapter* adapter_;
 
-  std::vector<Holding> holdings_;
-  StrategyDecision pending_;   // decided at prelaunch, applied at boundary
-  bool pending_valid_ = false;
+  std::vector<Instance> holdings_;
   bool running_ = false;
 
   SimTime started_;

@@ -4,7 +4,6 @@
 #include <cinttypes>
 #include <cstdio>
 #include <map>
-#include <optional>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
@@ -13,7 +12,6 @@
 #include "cloud/region.hpp"
 #include "core/market_state.hpp"
 #include "core/warm_models.hpp"
-#include "market/billing.hpp"
 #include "obs/obs.hpp"
 #include "obs/shard.hpp"
 #include "replay/adaptive.hpp"
@@ -33,35 +31,14 @@ int clamp_clusters(const FleetOptions& opts) {
   return std::min(c, std::max(1, opts.services));
 }
 
-/// One instance's life inside a cluster.  Indices into the cluster's
-/// instance arena are stable (the arena only grows).
-struct Instance {
+/// One instance's life inside a cluster: the ledger's holding (never_ran =
+/// rejected by the clearing, death = clearing or baseline kill) plus its
+/// owner.  Indices into the cluster's instance arena are stable (the arena
+/// only grows).
+struct Instance : Holding {
   int service = -1;
-  int market = -1;  ///< cluster market index; -1 for on-demand
-  int zone = -1;
-  PriceTick bid;
-  bool spot = true;
-  bool pending = false;    ///< requested this epoch, awaiting the clearing
-  bool never_ran = false;  ///< rejected at request time (bid < clearing)
-  bool active = true;      ///< still held by its service
-  SimTime launch;
-  SimTime ready;
-  std::optional<SimTime> death;  ///< provider out-of-bid kill
-
-  bool alive(SimTime t) const {
-    return !never_ran && (!death || *death > t);
-  }
-};
-
-/// The bidding interval currently open for a service; closed (and turned
-/// into an IntervalRecord) when the simulation clock reaches its end.
-struct OpenInterval {
-  SimTime start;
-  TimeDelta length = 0;
-  int intended = 0;
-  int launches = 0;
-  int out_of_bid = 0;
-  std::vector<std::uint32_t> members;
+  bool pending = false;  ///< requested this epoch, awaiting the clearing
+  bool active = true;    ///< still held by its service
 };
 
 struct ServiceState {
@@ -72,8 +49,8 @@ struct ServiceState {
   Rng rng{0};
   SimTime next_decide;
   bool interval_open = false;
-  OpenInterval interval;
-  std::vector<std::uint32_t> holdings;
+  IntervalRecord interval;  ///< open; closed when the clock reaches its end
+  std::vector<std::uint32_t> holdings;  ///< instance arena indices
   double node_sum = 0.0;
   ServiceResult out;
 };
@@ -216,6 +193,13 @@ class Cluster {
     return it->second;
   }
 
+  /// Projects an instance arena index onto its ledger holding.
+  auto arena() const {
+    return [this](std::uint32_t id) -> const Holding& {
+      return instances_[id];
+    };
+  }
+
   /// The cluster's warm failure models for a Jupiter service's market
   /// family: one owner per (instance kind, history start, estimator),
   /// created on first use and shared by every Jupiter service that bids in
@@ -300,12 +284,8 @@ class Cluster {
       }
       MarketSnapshot snapshot =
           snapshot_at(shared_, s.cfg.strategy.spec.kind, zones_, t);
-      std::vector<ZoneBid> held;
-      for (std::uint32_t id : s.holdings) {
-        const Instance& inst = instances_[id];
-        if (inst.spot && inst.alive(t)) held.push_back({inst.zone, inst.bid});
-      }
-      slots[i].decision = s.strategy->decide(snapshot, t, held);
+      slots[i].decision =
+          s.strategy->decide(snapshot, t, held_bids(s.holdings, t, arena()));
       slots[i].interval = iv;
     });
     // 5. Apply the decisions in service order: terminate and bill retired
@@ -336,9 +316,7 @@ class Cluster {
           auto oob = trace.first_exceed(prev_tick_, inst.bid);
           if (oob && *oob < t) {
             inst.death = *oob;
-            ServiceState& s = services_[svc_slot(inst.service)];
-            ++s.out.out_of_bid;
-            ++s.interval.out_of_bid;
+            const ServiceState& s = services_[svc_slot(inst.service)];
             if (obs::Registry* reg = obs::metrics()) {
               reg->counter("fleet.out_of_bid_kills").inc();
             }
@@ -352,29 +330,10 @@ class Cluster {
   }
 
   void finalize_interval(ServiceState& s, SimTime t_end) {
-    const OpenInterval& iv = s.interval;
-    IntervalRecord rec;
-    rec.start = iv.start;
-    rec.length = iv.length;
-    rec.nodes = iv.intended;
-    rec.launches = iv.launches;
-    rec.out_of_bid = iv.out_of_bid;
-    if (iv.intended > 0) {
-      int quorum = s.cfg.strategy.spec.quorum(iv.intended);
-      std::vector<std::pair<SimTime, SimTime>> ups;
-      for (std::uint32_t id : iv.members) {
-        const Instance& inst = instances_[id];
-        if (inst.never_ran) continue;
-        SimTime from = std::max(iv.start, inst.ready);
-        SimTime to = t_end;
-        if (inst.death && *inst.death < to) to = *inst.death;
-        if (from < to) ups.emplace_back(from, to);
-      }
-      rec.downtime = quorum_downtime(ups, iv.start, t_end, quorum);
-    } else {
-      rec.downtime = rec.length;
-    }
+    IntervalRecord& rec = s.interval;
+    close_interval(rec, s.holdings, s.cfg.strategy.spec, arena());
     s.out.downtime += rec.downtime;
+    s.out.out_of_bid += rec.out_of_bid;
     double avail =
         rec.length > 0
             ? 1.0 - static_cast<double>(rec.downtime) /
@@ -402,89 +361,45 @@ class Cluster {
                       TimeDelta interval, SimTime t) {
     ++s.out.decisions;
     s.node_sum += decision.total_nodes();
-    // Reconcile: an instance is kept iff the decision names its exact
-    // (zone, bid) again — EC2 cannot re-bid a live instance (replay rule).
-    std::vector<char> matched_spot(decision.spot_bids.size(), 0);
-    std::vector<char> matched_od(decision.on_demand_zones.size(), 0);
-    std::vector<std::uint32_t> next;
-    for (std::uint32_t id : s.holdings) {
-      Instance& inst = instances_[id];
-      bool keep = false;
-      if (inst.alive(t)) {
-        if (inst.spot) {
-          for (std::size_t i = 0; i < decision.spot_bids.size(); ++i) {
-            const ZoneBid& b = decision.spot_bids[i];
-            if (!matched_spot[i] && b.zone == inst.zone && b.bid == inst.bid) {
-              matched_spot[i] = 1;
-              keep = true;
-              break;
-            }
-          }
-        } else {
-          for (std::size_t i = 0; i < decision.on_demand_zones.size(); ++i) {
-            if (!matched_od[i] && decision.on_demand_zones[i] == inst.zone) {
-              matched_od[i] = 1;
-              keep = true;
-              break;
-            }
-          }
-        }
-      }
-      if (keep) {
-        next.push_back(id);
-      } else {
-        bill_and_drop(s, inst, t);
-      }
+    Reconciliation plan = reconcile(s.holdings, decision, t, arena());
+    for (std::uint32_t id : retire(s.holdings, plan)) {
+      bill_and_drop(s, instances_[id], t);
     }
     // New spot requests: demand for this epoch's clearing.
-    for (std::size_t i = 0; i < decision.spot_bids.size(); ++i) {
-      if (matched_spot[i]) continue;
-      const ZoneBid& b = decision.spot_bids[i];
+    for (const ZoneBid& b : plan.spot_launches) {
       Instance inst;
       inst.service = s.cfg.id;
-      inst.market = market_of(b.zone, s.cfg.strategy.spec.kind);
       inst.zone = b.zone;
       inst.bid = b.bid;
-      inst.spot = true;
       inst.pending = true;
       inst.launch = t;
       inst.ready = t;
       auto id = static_cast<std::uint32_t>(instances_.size());
       instances_.push_back(inst);
-      live_[static_cast<std::size_t>(inst.market)].push_back(id);
-      next.push_back(id);
-      ++s.out.launches;
+      live_[static_cast<std::size_t>(
+                market_of(b.zone, s.cfg.strategy.spec.kind))]
+          .push_back(id);
+      s.holdings.push_back(id);
     }
     // On-demand nodes launch unconditionally (no market).
-    for (std::size_t i = 0; i < decision.on_demand_zones.size(); ++i) {
-      if (matched_od[i]) continue;
+    for (int zone : plan.on_demand_launches) {
       Instance inst;
       inst.service = s.cfg.id;
-      inst.zone = decision.on_demand_zones[i];
+      inst.zone = zone;
       inst.spot = false;
       inst.launch = t;
       // The very first interval is assumed already bootstrapped, as in the
       // replay engine.
-      inst.ready =
-          t == start_ ? t : t + draw_startup(s.rng, inst.zone);
+      inst.ready = t == start_ ? t : t + draw_startup(s.rng, zone);
       auto id = static_cast<std::uint32_t>(instances_.size());
       instances_.push_back(inst);
-      next.push_back(id);
-      ++s.out.launches;
+      s.holdings.push_back(id);
     }
-    s.holdings = std::move(next);
-    OpenInterval iv;
-    iv.start = t;
-    iv.length = std::min(interval, end_ - t);
-    iv.intended = decision.total_nodes();
-    iv.launches = static_cast<int>(decision.spot_bids.size() +
-                                   decision.on_demand_zones.size()) -
-                  static_cast<int>(std::count(matched_spot.begin(),
-                                              matched_spot.end(), 1)) -
-                  static_cast<int>(std::count(matched_od.begin(),
-                                              matched_od.end(), 1));
-    iv.members = s.holdings;
-    s.interval = std::move(iv);
+    s.out.launches += plan.launches();
+    s.interval = IntervalRecord{.start = t,
+                                .length = std::min(interval, end_ - t),
+                                .nodes = decision.total_nodes(),
+                                .launches = plan.launches()};
     s.interval_open = true;
     s.next_decide = t + s.interval.length;
   }
@@ -528,15 +443,12 @@ class Cluster {
           }
           continue;
         }
-        ServiceState& s = services_[svc_slot(inst.service)];
         if (inst.pending) {
           inst.pending = false;
           inst.never_ran = true;
-          ++s.out.never_ran;
+          ++services_[svc_slot(inst.service)].out.never_ran;
         } else {
           inst.death = t;
-          ++s.out.out_of_bid;
-          ++s.interval.out_of_bid;
         }
       }
     }
@@ -594,21 +506,10 @@ class Cluster {
     return tier;
   }
 
+  /// Bills a retired or settled instance against the published prices (the
+  /// shared book the markets write).
   void bill_and_drop(ServiceState& s, Instance& inst, SimTime t) {
-    Money charge;
-    if (inst.spot) {
-      if (!inst.never_ran) {
-        charge = bill_spot_instance(markets_[static_cast<std::size_t>(
-                                                 inst.market)]
-                                        .published(),
-                                    inst.launch, t, inst.bid)
-                     .charge;
-      }
-    } else {
-      charge = bill_on_demand(
-          on_demand_price_zone(inst.zone, s.cfg.strategy.spec.kind),
-          inst.launch, t);
-    }
+    Money charge = holding_charge(inst, shared_, s.cfg.strategy.spec.kind, t);
     s.out.cost += charge;
     inst.active = false;
     if (opts_.keep_instance_records) {
@@ -982,46 +883,16 @@ bool FleetReport::internally_consistent(std::string* why) const {
     return false;
   };
   for (const ServiceResult& s : services) {
-    if (s.decisions != static_cast<int>(s.timeline.size())) {
-      return fail("service " + std::to_string(s.id) +
-                  ": decisions != timeline size");
-    }
-    TimeDelta down = 0, len = 0;
-    int oob = 0, launches = 0;
-    for (std::size_t i = 0; i < s.timeline.size(); ++i) {
-      const IntervalRecord& rec = s.timeline[i];
-      if (rec.downtime < 0 || rec.downtime > rec.length) {
-        return fail("service " + std::to_string(s.id) + " interval " +
-                    std::to_string(i) + ": downtime outside [0, length]");
-      }
-      if (i + 1 < s.timeline.size() &&
-          rec.start + rec.length != s.timeline[i + 1].start) {
-        return fail("service " + std::to_string(s.id) + " interval " +
-                    std::to_string(i) + " does not tile");
-      }
-      down += rec.downtime;
-      len += rec.length;
-      oob += rec.out_of_bid;
-      launches += rec.launches;
-    }
-    if (down != s.downtime) {
-      return fail("service " + std::to_string(s.id) +
-                  ": downtime != timeline sum");
-    }
-    if (!s.timeline.empty() && len != s.elapsed) {
-      return fail("service " + std::to_string(s.id) +
-                  ": intervals do not cover the window");
-    }
-    if (oob != s.out_of_bid) {
-      return fail("service " + std::to_string(s.id) +
-                  ": out-of-bid != timeline sum");
-    }
-    if (launches != s.launches) {
-      return fail("service " + std::to_string(s.id) +
-                  ": launches != timeline sum");
-    }
-    if (s.cost.micros() < 0) {
-      return fail("service " + std::to_string(s.id) + ": negative cost");
+    std::string leak;
+    if (!timeline_consistent(s.timeline,
+                             {.cost = s.cost,
+                              .downtime = s.downtime,
+                              .elapsed = s.elapsed,
+                              .decisions = s.decisions,
+                              .out_of_bid = s.out_of_bid,
+                              .launches = s.launches},
+                             &leak)) {
+      return fail("service " + std::to_string(s.id) + ": " + leak);
     }
   }
   for (const MarketAudit& m : markets) {

@@ -223,7 +223,8 @@ struct FleetReport {
   std::string metrics_csv() const;
 
   /// Fleet-wide accounting conservation: every service's headline totals
-  /// must equal its timeline's attribution (ReplayResult discipline), the
+  /// must equal its timeline's attribution (the ledger's
+  /// timeline_consistent, as for ReplayResult), the
   /// fleet totals must equal the per-service sums, and every market's
   /// running totals must equal its clearing records' sums (when kept).
   bool internally_consistent(std::string* why = nullptr) const;

@@ -1,102 +1,23 @@
 #include "replay/replay_engine.hpp"
 
 #include <algorithm>
-#include <optional>
 #include <string>
 
 #include "cloud/region.hpp"
 #include "core/market_state.hpp"
-#include "market/billing.hpp"
 #include "obs/obs.hpp"
 
 namespace jupiter {
 
-namespace {
-
-struct Holding {
-  int zone = -1;
-  PriceTick bid;
-  bool spot = true;
-  SimTime launch;
-  SimTime ready;                 // end of startup
-  std::optional<SimTime> oob;    // out-of-bid instant, if ever
-  bool never_ran = false;        // price already above bid at request time
-
-  bool alive_at(SimTime t) const {
-    if (never_ran) return false;
-    return !oob || *oob > t;
-  }
-};
-
-}  // namespace
-
-TimeDelta draw_startup(Rng& rng, int zone) {
-  int region = all_zones().at(static_cast<std::size_t>(zone)).region;
-  double mean = region_startup_mean_seconds(region);
-  auto secs = static_cast<TimeDelta>(mean * rng.uniform(0.8, 1.2));
-  return std::clamp<TimeDelta>(secs, 200, 700);
-}
-
-TimeDelta quorum_downtime(const std::vector<std::pair<SimTime, SimTime>>& ups,
-                          SimTime t0, SimTime t1, int quorum) {
-  std::vector<SimTime> edges{t0, t1};
-  for (const auto& [a, b] : ups) {
-    if (a > t0 && a < t1) edges.push_back(a);
-    if (b > t0 && b < t1) edges.push_back(b);
-  }
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  TimeDelta down = 0;
-  for (std::size_t i = 0; i + 1 < edges.size(); ++i) {
-    SimTime a = edges[i], b = edges[i + 1];
-    int up = 0;
-    for (const auto& [ua, ub] : ups) {
-      if (ua <= a && ub >= b) ++up;
-    }
-    if (up < quorum) down += b - a;
-  }
-  return down;
-}
-
 bool ReplayResult::internally_consistent(std::string* why) const {
-  auto fail = [why](std::string msg) {
-    if (why) *why = std::move(msg);
-    return false;
-  };
-  if (decisions != static_cast<int>(timeline.size())) {
-    return fail("decisions != timeline size");
-  }
-  TimeDelta down_sum = 0, len_sum = 0;
-  int oob_sum = 0, launch_sum = 0;
-  for (std::size_t i = 0; i < timeline.size(); ++i) {
-    const IntervalRecord& rec = timeline[i];
-    if (rec.downtime < 0 || rec.downtime > rec.length) {
-      return fail("interval " + std::to_string(i) +
-                  " downtime outside [0, length]");
-    }
-    if (i + 1 < timeline.size() &&
-        rec.start + rec.length != timeline[i + 1].start) {
-      return fail("interval " + std::to_string(i) + " does not tile");
-    }
-    down_sum += rec.downtime;
-    len_sum += rec.length;
-    oob_sum += rec.out_of_bid;
-    launch_sum += rec.launches;
-  }
-  if (down_sum != downtime) {
-    return fail("downtime total != sum of attributed quorum-loss seconds");
-  }
-  if (!timeline.empty() && len_sum != elapsed) {
-    return fail("interval lengths do not cover the replay window");
-  }
-  if (oob_sum != out_of_bid_events) {
-    return fail("out-of-bid total != timeline sum");
-  }
-  if (launch_sum != instances_launched) {
-    return fail("launch total != timeline sum");
-  }
-  if (cost.micros() < 0) return fail("negative total cost");
-  return true;
+  return timeline_consistent(timeline,
+                             {.cost = cost,
+                              .downtime = downtime,
+                              .elapsed = elapsed,
+                              .decisions = decisions,
+                              .out_of_bid = out_of_bid_events,
+                              .launches = instances_launched},
+                             why);
 }
 
 ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
@@ -123,132 +44,55 @@ ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
     // finishes by the boundary and replacement causes no quorum dip.
     SimTime decide_at = first_interval ? t : t - kMaxStartupLead;
     MarketSnapshot snapshot = snapshot_at(book, kind, cfg.zones, decide_at);
-    std::vector<ZoneBid> held;
-    for (const Holding& h : holdings) {
-      if (h.spot && h.alive_at(decide_at)) held.push_back(ZoneBid{h.zone, h.bid});
-    }
-    StrategyDecision decision = strategy.decide(snapshot, decide_at, held);
+    StrategyDecision decision =
+        strategy.decide(snapshot, decide_at, held_bids(holdings, decide_at));
     node_sum += decision.total_nodes();
 
-    IntervalRecord rec;
-    rec.start = t;
-    rec.length = t_end - t;
-    rec.nodes = decision.total_nodes();
-    int launches_before = result.instances_launched;
-    int oob_before = result.out_of_bid_events;
-    TimeDelta downtime_before = result.downtime;
-
-    // ---- reconcile holdings against the decision ----
-    std::vector<Holding> next;
-    std::vector<char> matched_spot(decision.spot_bids.size(), 0);
-    std::vector<char> matched_od(decision.on_demand_zones.size(), 0);
-    for (const Holding& h : holdings) {
-      bool keep = false;
-      if (h.alive_at(decide_at)) {
-        if (h.spot) {
-          for (std::size_t i = 0; i < decision.spot_bids.size(); ++i) {
-            const auto& b = decision.spot_bids[i];
-            if (!matched_spot[i] && b.zone == h.zone && b.bid == h.bid) {
-              matched_spot[i] = 1;
-              keep = true;
-              break;
-            }
-          }
-        } else {
-          for (std::size_t i = 0; i < decision.on_demand_zones.size(); ++i) {
-            if (!matched_od[i] && decision.on_demand_zones[i] == h.zone) {
-              matched_od[i] = 1;
-              keep = true;
-              break;
-            }
-          }
-        }
-      }
-      if (keep) {
-        next.push_back(h);
-        continue;
-      }
-      // Terminate (or account the earlier out-of-bid death of) the holding.
-      if (h.spot) {
-        if (!h.never_ran) {
-          SpotBill bill = bill_spot_instance(book.trace(h.zone, kind),
-                                             h.launch, t, h.bid);
-          result.cost += bill.charge;
-        }
-      } else {
-        result.cost += bill_on_demand(on_demand_price_zone(h.zone, kind),
-                                      h.launch, t);
-      }
+    // Retired holdings are user-terminated at the boundary; their
+    // replacements are requested at decide_at, i.e. pre-boundary.
+    Reconciliation plan = reconcile(holdings, decision, decide_at);
+    for (const Holding& h : retire(holdings, plan)) {
+      result.cost += holding_charge(h, book, kind, t);
     }
-    holdings = std::move(next);
-
-    // ---- launch new instances (at decide_at, i.e. pre-boundary) ----
-    for (std::size_t i = 0; i < decision.spot_bids.size(); ++i) {
-      if (matched_spot[i]) continue;
-      const auto& b = decision.spot_bids[i];
-      const SpotTrace& trace = book.trace(b.zone, kind);
-      Holding h;
-      h.zone = b.zone;
-      h.bid = b.bid;
-      h.spot = true;
-      h.launch = decide_at;
-      // The very first interval is assumed already bootstrapped (the
-      // framework had been running before the measured window opens).
-      TimeDelta startup = (cfg.account_startup && !first_interval)
-                              ? draw_startup(rng, b.zone)
-                              : 0;
-      h.ready = decide_at + startup;
-      ++result.instances_launched;
+    // The very first interval is assumed already bootstrapped (the
+    // framework had been running before the measured window opens).
+    auto startup = [&](int zone) -> TimeDelta {
+      return cfg.account_startup && !first_interval ? draw_startup(rng, zone)
+                                                    : 0;
+    };
+    for (const ZoneBid& b : plan.spot_launches) {
+      Holding h{.zone = b.zone, .bid = b.bid, .spot = true, .launch = decide_at};
+      TimeDelta lag = startup(b.zone);
+      h.ready = decide_at + lag;
       if (obs::Registry* reg = obs::metrics()) {
         // Bidding-decision sim-latency: seconds from the decision to the
         // instance serving, integer-exact for deterministic shard merges.
         reg->det_histogram("replay.bid_ready_lag_s")
-            .observe(static_cast<std::uint64_t>(startup));
+            .observe(static_cast<std::uint64_t>(lag));
       }
+      const SpotTrace& trace = book.trace(b.zone, kind);
       if (trace.price_at(decide_at) > b.bid) {
         h.never_ran = true;
       } else {
-        h.oob = trace.first_exceed(decide_at, b.bid);
+        h.death = trace.first_exceed(decide_at, b.bid);
       }
       holdings.push_back(h);
     }
-    for (std::size_t i = 0; i < decision.on_demand_zones.size(); ++i) {
-      if (matched_od[i]) continue;
-      Holding h;
-      h.zone = decision.on_demand_zones[i];
-      h.spot = false;
-      h.launch = decide_at;
-      TimeDelta startup = (cfg.account_startup && !first_interval)
-                              ? draw_startup(rng, h.zone)
-                              : 0;
-      h.ready = decide_at + startup;
-      ++result.instances_launched;
-      holdings.push_back(h);
+    for (int zone : plan.on_demand_launches) {
+      holdings.push_back(Holding{.zone = zone,
+                                 .spot = false,
+                                 .launch = decide_at,
+                                 .ready = decide_at + startup(zone)});
     }
 
-    // ---- availability accounting over [t, t_end) ----
-    int intended = decision.total_nodes();
-    if (intended > 0) {
-      int quorum = cfg.spec.quorum(intended);
-      std::vector<std::pair<SimTime, SimTime>> ups;
-      for (const Holding& h : holdings) {
-        if (h.never_ran) continue;
-        SimTime from = std::max(t, h.ready);
-        SimTime to = t_end;
-        if (h.spot && h.oob && *h.oob < to) {
-          to = *h.oob;
-          if (*h.oob >= t && *h.oob < t_end) ++result.out_of_bid_events;
-        }
-        if (from < to) ups.emplace_back(from, to);
-      }
-      result.downtime += quorum_downtime(ups, t, t_end, quorum);
-    } else {
-      result.downtime += t_end - t;
-    }
-
-    rec.launches = result.instances_launched - launches_before;
-    rec.out_of_bid = result.out_of_bid_events - oob_before;
-    rec.downtime = result.downtime - downtime_before;
+    IntervalRecord rec{.start = t,
+                       .length = t_end - t,
+                       .nodes = decision.total_nodes(),
+                       .launches = plan.launches()};
+    close_interval(rec, holdings, cfg.spec);
+    result.instances_launched += rec.launches;
+    result.out_of_bid_events += rec.out_of_bid;
+    result.downtime += rec.downtime;
     result.timeline.push_back(rec);
 
     if (obs::Registry* reg = obs::metrics()) {
@@ -296,16 +140,7 @@ ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
 
   // ---- final settlement at replay end (user termination) ----
   for (const Holding& h : holdings) {
-    if (h.spot) {
-      if (!h.never_ran) {
-        result.cost += bill_spot_instance(book.trace(h.zone, kind), h.launch,
-                                          cfg.replay_end, h.bid)
-                           .charge;
-      }
-    } else {
-      result.cost += bill_on_demand(on_demand_price_zone(h.zone, kind),
-                                    h.launch, cfg.replay_end);
-    }
+    result.cost += holding_charge(h, book, kind, cfg.replay_end);
   }
 
   result.mean_nodes =

@@ -5,20 +5,21 @@
 // certained with the given spot prices data, the result is the same as real
 // running the bidding framework on Amazon EC2."
 //
-// Mechanics per bidding interval [T, T+I):
-//   * the strategy sees the market snapshot at T and names its deployment;
-//   * holdings are reconciled: an instance is kept iff the same zone is
-//     selected with the same bid (EC2 cannot re-bid a live instance);
-//     retired instances are user-terminated at T (their partial hour is
-//     charged), new ones are requested at T and spend a region-dependent
-//     200-700 s starting up (§4: the startup time shortens the effective
-//     interval);
-//   * an instance dies the moment the spot price exceeds its bid and stays
-//     dead until the next boundary (no mid-interval rebidding, matching the
-//     framework's cadence);
-//   * billing follows the spot rules in market/billing.hpp, hour-anchored
-//     at each instance's launch across interval boundaries;
-//   * the service is counted available at each instant iff at least a
+// The framework's rules — which holdings are kept, how they are billed, how
+// an interval's downtime is counted — come from the deployment ledger
+// (core/deployment.hpp), shared with the fleet and the live framework.  What
+// the replay adds, per bidding interval [T, T+I):
+//   * prices come from the fixed trace book, and the strategy sees the
+//     market a lead time before T (T itself for the first interval);
+//   * retired instances are user-terminated at T (their partial hour is
+//     charged); new ones are requested at the decision and spend a
+//     region-dependent 200-700 s starting up (§4: the startup time shortens
+//     the effective interval), drawn from the replay's own jitter stream;
+//   * an instance's death is read ahead from the trace: it dies the moment
+//     the spot price exceeds its bid and stays dead until the next boundary
+//     (no mid-interval rebidding, matching the framework's cadence);
+//   * billing is hour-anchored at each instance's launch across interval
+//     boundaries; the service is available at each instant iff at least a
 //     quorum of the interval's intended members is up.  Replay counts
 //     out-of-bid downtime only (the paper's replays do not re-inject SLA
 //     crashes; those enter through the failure model's FP').
@@ -28,17 +29,12 @@
 #include <vector>
 
 #include "cloud/trace_book.hpp"
+#include "core/deployment.hpp"
 #include "core/service_spec.hpp"
 #include "core/strategies.hpp"
 #include "util/money.hpp"
-#include "util/rng.hpp"
 
 namespace jupiter {
-
-/// Replacement lead time: instances for the next interval are requested
-/// this many seconds before the boundary, covering the worst-case 700 s
-/// startup so view changes never dip below quorum by themselves.
-inline constexpr TimeDelta kMaxStartupLead = 700;
 
 struct ReplayConfig {
   ServiceSpec spec;
@@ -57,16 +53,6 @@ struct ReplayConfig {
   std::function<TimeDelta(SimTime)> interval_policy;
 };
 
-/// One bidding interval of a replay, for timelines and plots.
-struct IntervalRecord {
-  SimTime start;
-  TimeDelta length = 0;
-  int nodes = 0;            ///< intended deployment size
-  int launches = 0;         ///< new instances requested for this interval
-  int out_of_bid = 0;       ///< terminations inside this interval
-  TimeDelta downtime = 0;   ///< seconds below quorum
-};
-
 struct ReplayResult {
   Money cost;
   TimeDelta downtime = 0;
@@ -82,13 +68,9 @@ struct ReplayResult {
     return 1.0 - static_cast<double>(downtime) / static_cast<double>(elapsed);
   }
 
-  /// Availability-accounting conservation check: the headline totals must
-  /// equal what the per-interval timeline attributes (downtime == observed
-  /// quorum-loss seconds, summed; launches, out-of-bid events and interval
-  /// lengths likewise), and every interval's downtime must fit inside the
-  /// interval.  Returns false and explains in `why` (if non-null) when the
-  /// accounting leaks — the chaos harness runs this as an invariant after
-  /// every replay.
+  /// The ledger's timeline-conservation check (timeline_consistent) on
+  /// this result — the chaos harness runs it as an invariant after every
+  /// replay.
   bool internally_consistent(std::string* why = nullptr) const;
 };
 
@@ -97,19 +79,5 @@ struct ReplayResult {
 /// itself is fresh).
 ReplayResult replay_strategy(const TraceBook& book, BiddingStrategy& strategy,
                              const ReplayConfig& cfg);
-
-// ---- shared driver pieces --------------------------------------------------
-// The single-service replay above and the fleet driver (src/fleet) account
-// availability and startup identically; these are the common primitives.
-
-/// Downtime within [t0, t1) given each member's up-interval [up_from,
-/// up_to) and the quorum size: seconds during which fewer than `quorum`
-/// members are simultaneously up.
-TimeDelta quorum_downtime(const std::vector<std::pair<SimTime, SimTime>>& ups,
-                          SimTime t0, SimTime t1, int quorum);
-
-/// Draws one instance-startup latency for `zone` (region-dependent mean,
-/// +/-20% jitter, clamped to the paper's 200-700 s band).
-TimeDelta draw_startup(Rng& rng, int zone);
 
 }  // namespace jupiter
