@@ -1,8 +1,10 @@
 #include "lock/lock_service.hpp"
 
 #include <algorithm>
+#include <functional>
 
 #include "obs/obs.hpp"
+#include "util/time.hpp"
 
 namespace jupiter::lock {
 
@@ -42,101 +44,152 @@ LockResponse LockResponse::decode(const std::vector<std::uint8_t>& bytes) {
   return resp;
 }
 
-void LockServiceState::expire_sessions(std::int64_t now) {
-  for (auto it = sessions_.begin(); it != sessions_.end();) {
-    if (it->second.expires <= now) {
-      for (Interner::Id path : it->second.held) {
-        auto lk = locks_.find(path);
-        if (lk != locks_.end() && lk->second == it->first) locks_.erase(lk);
-      }
-      it = sessions_.erase(it);
-    } else {
-      ++it;
+namespace {
+
+// Commands are decoded from the wire, so `now + lease` may overflow; SimTime
+// arithmetic saturates, keeping the sum defined and the expiry order sane.
+std::int64_t lease_end(std::int64_t now, std::int64_t lease) {
+  return (SimTime(now) + lease).seconds();
+}
+
+}  // namespace
+
+Interner::Id LockServiceState::intern(const std::string& name) {
+  Interner::Id id = names_.intern(name);
+  if (id >= sessions_.size()) {
+    sessions_.resize(names_.size());
+    owner_.resize(names_.size(), Interner::kNone);
+  }
+  return id;
+}
+
+bool LockServiceState::is_open(Interner::Id session) const {
+  return session != Interner::kNone && sessions_[session].open;
+}
+
+Interner::Id LockServiceState::owner_id(Interner::Id path) const {
+  return path == Interner::kNone ? Interner::kNone : owner_[path];
+}
+
+void LockServiceState::set_expiry(Interner::Id id, std::int64_t expires) {
+  Session& s = sessions_[id];
+  if (s.open && s.expires == expires) return;  // its entry is still current
+  if (!s.open) {
+    s.open = true;
+    ++open_;
+  }
+  s.expires = expires;
+  expiry_.push_back({expires, id});
+  std::push_heap(expiry_.begin(), expiry_.end(), std::greater<>{});
+}
+
+void LockServiceState::end_session(Interner::Id id) {
+  Session& s = sessions_[id];
+  for (Interner::Id path : s.held) {
+    if (owner_[path] == id) {
+      owner_[path] = Interner::kNone;
+      --held_;
     }
   }
+  s.held.clear();
+  s.open = false;
+  --open_;
+}
+
+void LockServiceState::expire_sessions(std::int64_t now) {
+  // Pops exactly the entries due at `now`, so a command stamped earlier than
+  // one already applied expires nothing new.  Sessions end in (expires, id)
+  // order; each lock has one owner, so the order cannot change the table.
+  while (!expiry_.empty() && expiry_.front().expires <= now) {
+    Deadline d = expiry_.front();
+    std::pop_heap(expiry_.begin(), expiry_.end(), std::greater<>{});
+    expiry_.pop_back();
+    const Session& s = sessions_[d.session];
+    if (s.open && s.expires == d.expires) end_session(d.session);
+  }
+}
+
+void LockServiceState::compact_expiry_queue() {
+  std::erase_if(expiry_, [this](const Deadline& d) {
+    const Session& s = sessions_[d.session];
+    return !s.open || s.expires != d.expires;
+  });
+  // A session can hold two equal current entries (closed and re-opened, or
+  // moved back to an old deadline); keep one.  Ascending order is already
+  // a valid min-heap.
+  std::sort(expiry_.begin(), expiry_.end());
+  expiry_.erase(std::unique(expiry_.begin(), expiry_.end()), expiry_.end());
 }
 
 LockResponse LockServiceState::handle(const LockCommand& cmd) {
   expire_sessions(cmd.now);
   // Interning is the only string work per command; everything below is
-  // integer-keyed.  kGetOwner on a never-seen path must not mint an id, so
-  // it uses lookup() instead.
+  // id-indexed.  Only kOpenSession and kAcquire may mint ids; the other
+  // commands use lookup(), so unknown names stay unknown.
   LockResponse resp;
   switch (cmd.op) {
-    case LockOp::kOpenSession: {
-      Session& s = sessions_[names_.intern(cmd.session)];
-      s.expires = cmd.now + cmd.lease;
+    case LockOp::kOpenSession:
+      set_expiry(intern(cmd.session), lease_end(cmd.now, cmd.lease));
       break;
-    }
     case LockOp::kKeepAlive: {
-      auto it = sessions_.find(names_.lookup(cmd.session));
-      if (it == sessions_.end()) {
+      Interner::Id session = names_.lookup(cmd.session);
+      if (!is_open(session)) {
         resp.status = LockStatus::kNoSession;
       } else {
-        it->second.expires = cmd.now + std::max<std::int64_t>(cmd.lease, 1);
+        set_expiry(session,
+                   lease_end(cmd.now, std::max<std::int64_t>(cmd.lease, 1)));
       }
       break;
     }
     case LockOp::kCloseSession: {
       Interner::Id session = names_.lookup(cmd.session);
-      auto it = sessions_.find(session);
-      if (it != sessions_.end()) {
-        for (Interner::Id path : it->second.held) {
-          auto lk = locks_.find(path);
-          if (lk != locks_.end() && lk->second == session) locks_.erase(lk);
-        }
-        sessions_.erase(it);
-      }
+      if (is_open(session)) end_session(session);
       break;
     }
     case LockOp::kAcquire:
     case LockOp::kTryAcquire: {
       Interner::Id session = names_.lookup(cmd.session);
-      auto sess = sessions_.find(session);
-      if (sess == sessions_.end()) {
+      if (!is_open(session)) {
         resp.status = LockStatus::kNoSession;
         break;
       }
-      Interner::Id path = names_.intern(cmd.path);
-      auto lk = locks_.find(path);
-      if (lk == locks_.end()) {
-        locks_[path] = session;
-        sess->second.held.push_back(path);
-      } else if (lk->second == session) {
-        // Re-acquire by the owner is a no-op success (advisory lock).
-      } else {
+      Interner::Id path = intern(cmd.path);  // may grow the tables
+      // Re-acquire by the owner is a no-op success (advisory lock).
+      Interner::Id& owner = owner_[path];
+      if (owner == Interner::kNone) {
+        owner = session;
+        ++held_;
+        sessions_[session].held.push_back(path);
+      } else if (owner != session) {
         resp.status = LockStatus::kHeldByOther;
-        resp.owner = names_.str(lk->second);
+        resp.owner = names_.str(owner);
       }
       break;
     }
     case LockOp::kRelease: {
       Interner::Id path = names_.lookup(cmd.path);
       Interner::Id session = names_.lookup(cmd.session);
-      auto lk = locks_.find(path);
-      if (path == Interner::kNone || lk == locks_.end() ||
-          lk->second != session || session == Interner::kNone) {
+      if (session == Interner::kNone || owner_id(path) != session) {
         resp.status = LockStatus::kNotHeld;
         break;
       }
-      locks_.erase(lk);
-      auto sess = sessions_.find(session);
-      if (sess != sessions_.end()) {
-        auto& held = sess->second.held;
-        held.erase(std::remove(held.begin(), held.end(), path), held.end());
-      }
+      owner_[path] = Interner::kNone;
+      --held_;
+      auto& held = sessions_[session].held;
+      held.erase(std::remove(held.begin(), held.end(), path), held.end());
       break;
     }
     case LockOp::kGetOwner: {
-      auto lk = locks_.find(names_.lookup(cmd.path));
-      if (lk == locks_.end()) {
+      Interner::Id owner = owner_id(names_.lookup(cmd.path));
+      if (owner == Interner::kNone) {
         resp.status = LockStatus::kNotHeld;
       } else {
-        resp.owner = names_.str(lk->second);
+        resp.owner = names_.str(owner);
       }
       break;
     }
   }
+  if (expiry_.size() > 2 * open_ + kQueueSlack) compact_expiry_queue();
   return resp;
 }
 
@@ -150,31 +203,26 @@ std::optional<std::vector<std::uint8_t>> LockServiceState::read(
   LockCommand cmd = LockCommand::decode(query);
   if (cmd.op != LockOp::kGetOwner) return std::nullopt;
   LockResponse resp;
-  auto lk = locks_.find(names_.lookup(cmd.path));
-  if (lk == locks_.end()) {
+  Interner::Id owner = owner_id(names_.lookup(cmd.path));
+  if (owner == Interner::kNone || sessions_[owner].expires <= cmd.now) {
+    // A lapsed owner's session is still in the table until a command
+    // expires it; answer what apply() would: the lock is free.
     resp.status = LockStatus::kNotHeld;
   } else {
-    auto sess = sessions_.find(lk->second);
-    if (sess != sessions_.end() && sess->second.expires <= cmd.now) {
-      // The owner's session has lapsed but no command expired it yet;
-      // answer what apply() would: the lock is free.
-      resp.status = LockStatus::kNotHeld;
-    } else {
-      resp.owner = names_.str(lk->second);
-    }
+    resp.owner = names_.str(owner);
   }
   return resp.encode();
 }
 
 std::optional<std::string> LockServiceState::owner_of(
     const std::string& path) const {
-  auto it = locks_.find(names_.lookup(path));
-  if (it == locks_.end()) return std::nullopt;
-  return names_.str(it->second);
+  Interner::Id owner = owner_id(names_.lookup(path));
+  if (owner == Interner::kNone) return std::nullopt;
+  return names_.str(owner);
 }
 
-std::size_t LockServiceState::held_locks() const { return locks_.size(); }
-std::size_t LockServiceState::open_sessions() const { return sessions_.size(); }
+std::size_t LockServiceState::held_locks() const { return held_; }
+std::size_t LockServiceState::open_sessions() const { return open_; }
 
 std::uint64_t LockServiceState::state_digest() const {
   std::uint64_t h = 0xCBF29CE484222325ULL;  // FNV-1a
@@ -191,27 +239,28 @@ std::uint64_t LockServiceState::state_digest() const {
       mix_byte(static_cast<std::uint8_t>(static_cast<std::uint64_t>(v) >> (8 * i)));
     }
   };
-  // The tables iterate in id (first-use) order; the historical digest walked
-  // string-keyed std::maps, so re-sort by string to keep the byte stream —
-  // and every recorded fingerprint — unchanged.
-  auto by_string = [this](const auto& table) {
-    std::vector<typename std::decay_t<decltype(table)>::const_iterator> order;
-    order.reserve(table.size());
-    for (auto it = table.begin(); it != table.end(); ++it) order.push_back(it);
-    std::sort(order.begin(), order.end(), [this](const auto& a, const auto& b) {
-      return names_.str(a->first) < names_.str(b->first);
-    });
-    return order;
+  // The historical digest walked string-keyed std::maps, so the live
+  // entries are sorted by string to keep the byte stream — and every
+  // recorded fingerprint — unchanged.
+  std::vector<Interner::Id> sessions, locks;
+  for (Interner::Id id = 0; id < sessions_.size(); ++id) {
+    if (sessions_[id].open) sessions.push_back(id);
+    if (owner_[id] != Interner::kNone) locks.push_back(id);
+  }
+  auto by_string = [this](Interner::Id a, Interner::Id b) {
+    return names_.str(a) < names_.str(b);
   };
-  for (const auto& it : by_string(sessions_)) {
-    mix_str(names_.str(it->first));
-    mix_i64(it->second.expires);
-    for (Interner::Id path : it->second.held) mix_str(names_.str(path));
+  std::sort(sessions.begin(), sessions.end(), by_string);
+  std::sort(locks.begin(), locks.end(), by_string);
+  for (Interner::Id id : sessions) {
+    mix_str(names_.str(id));
+    mix_i64(sessions_[id].expires);
+    for (Interner::Id path : sessions_[id].held) mix_str(names_.str(path));
   }
   mix_byte(0xFF);
-  for (const auto& it : by_string(locks_)) {
-    mix_str(names_.str(it->first));
-    mix_str(names_.str(it->second));
+  for (Interner::Id path : locks) {
+    mix_str(names_.str(path));
+    mix_str(names_.str(owner_[path]));
   }
   return h;
 }

@@ -11,8 +11,8 @@
 // clients retry), and sessions whose expiry releases everything they held.
 #pragma once
 
+#include <compare>
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -78,28 +78,59 @@ class LockServiceState : public paxos::StateMachine {
   std::size_t open_sessions() const;
 
   /// FNV-1a digest of the full lock table (sessions, lease expiries, held
-  /// locks; map order makes it canonical).  Two replicas that applied the
-  /// same command sequence produce bit-identical digests; the chaos
-  /// determinism test compares digests across whole runs.
+  /// locks, each table sorted by string so the byte stream is canonical).
+  /// Two replicas that applied the same command sequence produce
+  /// bit-identical digests; the chaos determinism test compares digests
+  /// across whole runs.
   std::uint64_t state_digest() const;
+
+  /// Entries in the lease-expiry queue, stale ones included.  Bounded by
+  /// 2 * open_sessions() + kQueueSlack (tests check the bound).
+  std::size_t expiry_queue_size() const { return expiry_.size(); }
+  static constexpr std::size_t kQueueSlack = 64;
 
  private:
   struct Session {
     std::int64_t expires = 0;
+    bool open = false;
     std::vector<Interner::Id> held;  // path ids, acquisition order
   };
+  /// A lease deadline.  The entry is current while its session is open and
+  /// still expires at `expires`; a keep-alive or close leaves it stale.
+  struct Deadline {
+    std::int64_t expires;
+    Interner::Id session;
+    auto operator<=>(const Deadline&) const = default;
+  };
 
+  Interner::Id intern(const std::string& name);
+  bool is_open(Interner::Id session) const;
+  Interner::Id owner_id(Interner::Id path) const;  // kNone when free
+  void set_expiry(Interner::Id id, std::int64_t expires);
+  void end_session(Interner::Id id);
   void expire_sessions(std::int64_t now);
+  void compact_expiry_queue();
   LockResponse handle(const LockCommand& cmd);
 
-  // Session names and lock paths share one interner; the tables key on the
-  // dense ids, so a command replays as two integer-map probes instead of
-  // string hashing.  std::map keyed on ids keeps iteration deterministic
-  // (first-use order) without touching strings; state_digest() re-sorts by
-  // string to stay bit-identical with the historical string-keyed digest.
+  // Session names and lock paths share one interner, and both tables are
+  // vectors indexed by its dense ids (grown on intern), so a command costs
+  // one array probe per name.  A name may be both a session and a path; the
+  // two tables are independent.  Nothing iterates the tables on the command
+  // path: open_ and held_ count them, and state_digest() sorts the live
+  // entries by string to stay bit-identical with the historical
+  // string-keyed digest.
+  //
+  // expiry_ is a min-heap on (expires, session) with lazy deletion: every
+  // open session has a current entry, and handle() pops only entries that
+  // are due, so a command pays O(log sessions) for expiry, however many
+  // sessions are open.  Stale entries are dropped when popped, or all at
+  // once when they come to outnumber the open sessions.
   Interner names_;
-  std::map<Interner::Id, Session> sessions_;
-  std::map<Interner::Id, Interner::Id> locks_;  // path id -> session id
+  std::vector<Session> sessions_;    // by session id
+  std::vector<Interner::Id> owner_;  // by path id; kNone when free
+  std::vector<Deadline> expiry_;     // heap ordered by std::greater
+  std::size_t open_ = 0;
+  std::size_t held_ = 0;
 };
 
 /// Client library: wraps a Paxos group with the Chubby-style RPC surface.

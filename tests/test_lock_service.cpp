@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <limits>
+#include <map>
+
 #include "util/rng.hpp"
 
 namespace jupiter::lock {
@@ -205,6 +210,300 @@ TEST(LockServiceState, MutualExclusionInvariant) {
     }
   }
   EXPECT_LE(sm.held_locks(), 4u);
+}
+
+// Lease arithmetic on decoded commands saturates instead of overflowing
+// (the UBSan gate would abort on the signed overflow).
+TEST(LockServiceState, ExtremeLeasesSaturate) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  LockServiceState sm;
+  EXPECT_EQ(run(sm, open_session("forever", 10, kMax)).status, LockStatus::kOk);
+  LockCommand ka;
+  ka.op = LockOp::kKeepAlive;
+  ka.session = "forever";
+  ka.now = kMax - 1;
+  ka.lease = kMax;
+  EXPECT_EQ(run(sm, ka).status, LockStatus::kOk);
+  // A lease ending before INT64_MIN saturates there and lapses at once.
+  run(sm, open_session("never", -10, kMin));
+  EXPECT_EQ(sm.open_sessions(), 2u);
+  run(sm, acquire("forever", "/l", kMin));
+  EXPECT_EQ(sm.open_sessions(), 1u);
+  EXPECT_EQ(sm.owner_of("/l"), "forever");
+  // The saturated deadline is INT64_MAX, due only at the last instant.
+  run(sm, acquire("forever", "/m", kMax - 1));
+  EXPECT_EQ(sm.held_locks(), 2u);
+  run(sm, open_session("late", kMax, 1));
+  EXPECT_EQ(sm.open_sessions(), 1u);
+  EXPECT_EQ(sm.held_locks(), 0u);
+}
+
+// ---- LockTableOracle: the id-indexed table against the original scan ----
+
+// The lock table as it was before the expiry queue: string-keyed maps, and
+// every command first walks all sessions for lapsed leases.  Kept here only
+// as the reference the production table must match byte for byte.
+class ScanLockTable {
+ public:
+  LockResponse apply(const LockCommand& cmd) {
+    for (auto it = sessions_.begin(); it != sessions_.end();) {
+      if (it->second.expires <= cmd.now) {
+        drop_locks(it->first, it->second);
+        it = sessions_.erase(it);
+      } else {
+        ++it;
+      }
+    }
+    LockResponse resp;
+    switch (cmd.op) {
+      case LockOp::kOpenSession:
+        sessions_[cmd.session].expires = end(cmd.now, cmd.lease);
+        break;
+      case LockOp::kKeepAlive: {
+        auto it = sessions_.find(cmd.session);
+        if (it == sessions_.end()) {
+          resp.status = LockStatus::kNoSession;
+        } else {
+          it->second.expires =
+              end(cmd.now, std::max<std::int64_t>(cmd.lease, 1));
+        }
+        break;
+      }
+      case LockOp::kCloseSession: {
+        auto it = sessions_.find(cmd.session);
+        if (it != sessions_.end()) {
+          drop_locks(it->first, it->second);
+          sessions_.erase(it);
+        }
+        break;
+      }
+      case LockOp::kAcquire:
+      case LockOp::kTryAcquire: {
+        auto sess = sessions_.find(cmd.session);
+        if (sess == sessions_.end()) {
+          resp.status = LockStatus::kNoSession;
+          break;
+        }
+        auto lk = locks_.find(cmd.path);
+        if (lk == locks_.end()) {
+          locks_[cmd.path] = cmd.session;
+          sess->second.held.push_back(cmd.path);
+        } else if (lk->second != cmd.session) {
+          resp.status = LockStatus::kHeldByOther;
+          resp.owner = lk->second;
+        }
+        break;
+      }
+      case LockOp::kRelease: {
+        auto lk = locks_.find(cmd.path);
+        if (lk == locks_.end() || lk->second != cmd.session) {
+          resp.status = LockStatus::kNotHeld;
+          break;
+        }
+        locks_.erase(lk);
+        auto& held = sessions_.at(cmd.session).held;
+        held.erase(std::remove(held.begin(), held.end(), cmd.path),
+                   held.end());
+        break;
+      }
+      case LockOp::kGetOwner: {
+        auto lk = locks_.find(cmd.path);
+        if (lk == locks_.end()) {
+          resp.status = LockStatus::kNotHeld;
+        } else {
+          resp.owner = lk->second;
+        }
+        break;
+      }
+    }
+    return resp;
+  }
+
+  std::optional<LockResponse> read(const LockCommand& cmd) const {
+    if (cmd.op != LockOp::kGetOwner) return std::nullopt;
+    LockResponse resp;
+    auto lk = locks_.find(cmd.path);
+    if (lk == locks_.end() || sessions_.at(lk->second).expires <= cmd.now) {
+      resp.status = LockStatus::kNotHeld;
+    } else {
+      resp.owner = lk->second;
+    }
+    return resp;
+  }
+
+  std::uint64_t state_digest() const {
+    std::uint64_t h = 0xCBF29CE484222325ULL;
+    auto mix_byte = [&h](std::uint8_t b) {
+      h ^= b;
+      h *= 0x100000001B3ULL;
+    };
+    auto mix_str = [&](const std::string& s) {
+      for (char c : s) mix_byte(static_cast<std::uint8_t>(c));
+      mix_byte(0);
+    };
+    for (const auto& [name, s] : sessions_) {
+      mix_str(name);
+      for (int i = 0; i < 8; ++i) {
+        mix_byte(static_cast<std::uint8_t>(
+            static_cast<std::uint64_t>(s.expires) >> (8 * i)));
+      }
+      for (const auto& path : s.held) mix_str(path);
+    }
+    mix_byte(0xFF);
+    for (const auto& [path, owner] : locks_) {
+      mix_str(path);
+      mix_str(owner);
+    }
+    return h;
+  }
+
+  std::size_t open_sessions() const { return sessions_.size(); }
+  std::size_t held_locks() const { return locks_.size(); }
+
+ private:
+  struct Session {
+    std::int64_t expires = 0;
+    std::vector<std::string> held;
+  };
+
+  static std::int64_t end(std::int64_t now, std::int64_t lease) {
+    return (SimTime(now) + lease).seconds();
+  }
+
+  void drop_locks(const std::string& name, const Session& s) {
+    for (const auto& path : s.held) {
+      auto lk = locks_.find(path);
+      if (lk != locks_.end() && lk->second == name) locks_.erase(lk);
+    }
+  }
+
+  std::map<std::string, Session> sessions_;
+  std::map<std::string, std::string> locks_;
+};
+
+// A random command over a small name pool, so sessions collide, lapse and
+// re-open often.  "x" and "y" are both session names and lock paths; "ghost"
+// and "/never" are looked up but rarely created.  Stamps jitter backwards
+// from a drifting clock, so `now` is not monotone in apply order.
+LockCommand random_command(Rng& rng, std::int64_t clock) {
+  static const std::vector<std::string> kSessions = {"a", "b", "c", "d",
+                                                     "x", "y", "ghost"};
+  static const std::vector<std::string> kPaths = {"/l0", "/l1", "/l2", "x",
+                                                  "y", "/never"};
+  constexpr std::array<double, 7> kOps = {0.15, 0.3, 0.05, 0.2,
+                                          0.05, 0.15, 0.1};
+  LockCommand c;
+  c.op = static_cast<LockOp>(1 + rng.categorical(kOps));
+  std::size_t who = rng.below(kSessions.size() - 1);
+  if (c.op != LockOp::kOpenSession && rng.bernoulli(0.05)) {
+    who = kSessions.size() - 1;
+  }
+  c.session = kSessions[who];
+  c.path = kPaths[rng.below(kPaths.size() - (rng.bernoulli(0.9) ? 1 : 0))];
+  c.now = clock - static_cast<std::int64_t>(rng.below(25));
+  c.lease = static_cast<std::int64_t>(rng.below(40)) - 5;
+  if (rng.bernoulli(0.01)) {
+    c.lease = rng.bernoulli(0.5) ? std::numeric_limits<std::int64_t>::max()
+                                 : std::numeric_limits<std::int64_t>::min();
+  }
+  return c;
+}
+
+void expect_same_table(const LockServiceState& sm, const ScanLockTable& ref) {
+  EXPECT_EQ(sm.state_digest(), ref.state_digest());
+  EXPECT_EQ(sm.open_sessions(), ref.open_sessions());
+  EXPECT_EQ(sm.held_locks(), ref.held_locks());
+}
+
+TEST(LockTableOracle, RandomStreamsMatchScanTable) {
+  for (std::uint64_t seed = 1; seed <= 24; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    Rng rng(seed);
+    LockServiceState sm;
+    ScanLockTable ref;
+    std::int64_t clock = 0;
+    for (int step = 0; step < 4000; ++step) {
+      clock += static_cast<std::int64_t>(rng.below(4));
+      LockCommand c = random_command(rng, clock);
+      std::vector<std::uint8_t> bytes = c.encode();
+      if (rng.bernoulli(0.15)) {
+        // Lease read at an arbitrary stamp, often past the owner's lease:
+        // same answer, no state change.  Other ops are not lease reads.
+        if (rng.bernoulli(0.9)) c.op = LockOp::kGetOwner;
+        c.now = clock + static_cast<std::int64_t>(rng.below(48)) - 8;
+        bytes = c.encode();
+        std::uint64_t before = sm.state_digest();
+        auto got = sm.read(bytes);
+        auto want = ref.read(c);
+        ASSERT_EQ(got.has_value(), want.has_value());
+        if (want) {
+          ASSERT_EQ(*got, want->encode()) << "step " << step;
+        }
+        ASSERT_EQ(sm.state_digest(), before);
+      } else {
+        ASSERT_EQ(sm.apply(bytes), ref.apply(c).encode()) << "step " << step;
+      }
+      expect_same_table(sm, ref);
+      if (::testing::Test::HasFailure()) return;
+      EXPECT_LE(sm.expiry_queue_size(),
+                2 * sm.open_sessions() + LockServiceState::kQueueSlack);
+    }
+  }
+}
+
+// Many sessions with leases drawn so that large batches lapse together:
+// exercises popping and compacting a big queue.
+TEST(LockTableOracle, ManySessionsMassExpiry) {
+  Rng rng(99);
+  LockServiceState sm;
+  ScanLockTable ref;
+  std::int64_t clock = 0;
+  auto step = [&](const LockCommand& c) {
+    ASSERT_EQ(sm.apply(c.encode()), ref.apply(c).encode());
+    expect_same_table(sm, ref);
+  };
+  for (int round = 0; round < 6; ++round) {
+    for (int s = 0; s < 300; ++s) {
+      LockCommand c = open_session("s" + std::to_string(s), clock,
+                                   static_cast<std::int64_t>(rng.below(50)));
+      step(c);
+      if (s % 7 == 0) step(acquire(c.session, "/p" + std::to_string(s % 40),
+                                   clock));
+    }
+    for (int k = 0; k < 900; ++k) {
+      LockCommand c;
+      c.op = rng.bernoulli(0.9) ? LockOp::kKeepAlive : LockOp::kCloseSession;
+      c.session = "s" + std::to_string(rng.below(300));
+      c.now = clock - static_cast<std::int64_t>(rng.below(10));
+      c.lease = static_cast<std::int64_t>(rng.below(50));
+      step(c);
+      clock += static_cast<std::int64_t>(rng.below(2));
+      if (::testing::Test::HasFailure()) return;
+    }
+    clock += 30;
+  }
+}
+
+// The lazily deleted queue stays bounded however many keep-alives arrive.
+TEST(LockTableOracle, KeepAlivesLeaveQueueBounded) {
+  constexpr int kSessionCount = 100;
+  LockServiceState sm;
+  for (int s = 0; s < kSessionCount; ++s) {
+    run(sm, open_session("s" + std::to_string(s), 0, 60));
+  }
+  LockCommand ka;
+  ka.op = LockOp::kKeepAlive;
+  ka.lease = 60;
+  std::size_t peak = 0;
+  for (int i = 0; i < 1'000'000; ++i) {
+    ka.session = "s" + std::to_string(i % kSessionCount);
+    ka.now = i / kSessionCount;
+    sm.apply(ka.encode());
+    peak = std::max(peak, sm.expiry_queue_size());
+  }
+  EXPECT_EQ(sm.open_sessions(), static_cast<std::size_t>(kSessionCount));
+  EXPECT_LE(peak, 2 * kSessionCount + LockServiceState::kQueueSlack);
 }
 
 struct LockClientFixture : ::testing::Test {
