@@ -25,13 +25,17 @@
 // same schedule; dispatch counts must match or the run aborts.
 //
 // Guardrails (enforced by exit code; ctest runs --smoke):
-//   * calendar-queue events/sec >= 10x the legacy engine;
+//   * calendar-queue events/sec >= 10x the legacy engine, read as the median
+//     ratio over nine equal slices of the steady half that the two engines
+//     run in alternation (see kSlices);
 //   * zero heap allocations per event at steady state (second half of the
 //     replay, global operator-new count), and zero engine-internal
 //     capacity growths (CoreStats::engine_allocs).
 //
 // Run from the build directory:
 //   ./bench/bench_perf_sim_core [--smoke] [out.json]
+#include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
@@ -374,6 +378,17 @@ double seconds_between(std::chrono::steady_clock::time_point a,
   return std::chrono::duration<double>(b - a).count();
 }
 
+// The steady half is cut into kSlices equal slices that the two engines
+// take in turn.  Each slice's ratio compares the engines over the same
+// simulated stretch at nearly the same wall-clock moment, so a burst of host
+// noise spoils one slice's ratio rather than one engine's whole timing; the
+// gate reads the median slice.  An engine that runs right after the other
+// inherits its caches and reads slow, so which engine goes first alternates
+// by slice, and the first 1/kLeadIn of every slice runs untimed to re-warm
+// them.  Allocations are still counted over every steady-state event.
+constexpr int kSlices = 9;
+constexpr int kLeadIn = 4;
+
 struct RunResult {
   std::uint64_t events = 0;
   double seconds = 0;
@@ -381,44 +396,61 @@ struct RunResult {
   std::uint64_t steady_allocs = 0;
   std::uint64_t steady_engine_allocs = 0;
   std::uint64_t steady_events = 0;
+  std::uint64_t timed_events = 0;  // steady events inside the timed parts
   std::int64_t peak_outstanding = 0;
+  std::array<double, kSlices> slice_events_per_sec{};
 };
 
-template <class Sim, class Handle>
-RunResult run_replay(Sim& sim, SimTime horizon) {
-  Replay<Sim, Handle> replay(sim, horizon);
-  replay.start();
-  SimTime half(horizon.seconds() / 2);
-  // First half is warmup: queues and side tables grow to their steady-state
-  // depth (the legacy engine's tombstone population takes ~3 simulated days
-  // to fill in).  Throughput and allocations are both measured over the
-  // second, steady-state half only.
-  sim.run_until(half);
-  std::uint64_t allocs_at_half = g_allocs.load(std::memory_order_relaxed);
-  std::uint64_t events_at_half = sim.dispatched_events();
-  std::uint64_t engine_at_half = 0;
+template <class Sim>
+std::uint64_t engine_allocs(Sim& sim) {
   if constexpr (requires { sim.core_stats(); }) {
-    engine_at_half = sim.core_stats().engine_allocs;
+    return sim.core_stats().engine_allocs;
+  } else {
+    return 0;
   }
-  // detlint: allow(banned-time) — wall-clock benchmark timing, not simulation time
-  auto t0 = std::chrono::steady_clock::now();
-  sim.run_until(horizon);
-  // detlint: allow(banned-time) — wall-clock benchmark timing, not simulation time
-  auto t1 = std::chrono::steady_clock::now();
-  RunResult r;
-  r.events = sim.dispatched_events();
-  r.seconds = seconds_between(t0, t1);
-  r.steady_events = r.events - events_at_half;
-  r.events_per_sec =
-      r.seconds > 0 ? static_cast<double>(r.steady_events) / r.seconds : 0;
-  r.steady_allocs =
-      g_allocs.load(std::memory_order_relaxed) - allocs_at_half;
-  if constexpr (requires { sim.core_stats(); }) {
-    r.steady_engine_allocs = sim.core_stats().engine_allocs - engine_at_half;
-  }
-  r.peak_outstanding = replay.peak_outstanding;
-  return r;
 }
+
+/// One engine and its replay driver, advanced slice by slice.
+template <class Sim, class Handle>
+struct Leg {
+  Sim& sim;
+  Replay<Sim, Handle> replay;
+  RunResult r;
+
+  Leg(Sim& s, SimTime horizon) : sim(s), replay(s, horizon) { replay.start(); }
+
+  // Allocations count over the whole slice, throughput over its timed part
+  // only; the other engine's slices never reach this engine's tally.
+  void slice(int k, SimTime to) {
+    std::uint64_t allocs0 = g_allocs.load(std::memory_order_relaxed);
+    std::uint64_t events0 = sim.dispatched_events();
+    std::uint64_t engine0 = engine_allocs(sim);
+    const std::int64_t from = sim.now().seconds();
+    sim.run_until(SimTime(from + (to.seconds() - from) / kLeadIn));
+    std::uint64_t timed0 = sim.dispatched_events();
+    // detlint: allow(banned-time) — wall-clock benchmark timing, not simulation time
+    auto t0 = std::chrono::steady_clock::now();
+    sim.run_until(to);
+    // detlint: allow(banned-time) — wall-clock benchmark timing, not simulation time
+    auto t1 = std::chrono::steady_clock::now();
+    double secs = seconds_between(t0, t1);
+    std::uint64_t timed = sim.dispatched_events() - timed0;
+    r.steady_allocs += g_allocs.load(std::memory_order_relaxed) - allocs0;
+    r.steady_engine_allocs += engine_allocs(sim) - engine0;
+    r.steady_events += sim.dispatched_events() - events0;
+    r.timed_events += timed;
+    r.seconds += secs;
+    r.slice_events_per_sec[static_cast<std::size_t>(k)] =
+        secs > 0 ? static_cast<double>(timed) / secs : 0;
+  }
+
+  void finish() {
+    r.events = sim.dispatched_events();
+    r.events_per_sec =
+        r.seconds > 0 ? static_cast<double>(r.timed_events) / r.seconds : 0;
+    r.peak_outstanding = replay.peak_outstanding;
+  }
+};
 
 }  // namespace
 
@@ -439,29 +471,51 @@ int main(int argc, char** argv) {
               kServices, kFleetPerService, weeks, smoke ? " (smoke)" : "");
 
   legacy::Simulator legacy_sim;
-  RunResult old = run_replay<legacy::Simulator, legacy::Simulator::Handle>(
-      legacy_sim, horizon);
-  std::printf(
-      "  legacy  %10llu events; steady half %llu in %6.3f s  (%.2fM "
-      "events/s)\n",
-      static_cast<unsigned long long>(old.events),
-      static_cast<unsigned long long>(old.steady_events), old.seconds,
-      old.events_per_sec / 1e6);
-
   Simulator core_sim;
   // Fleet size is known up front, as it would be in a real replay: pre-size
   // the arena and tiers so no event ever pays for capacity growth.
   core_sim.reserve_pending(static_cast<std::size_t>(kServices) *
                            kFleetPerService * 3);
-  RunResult neu =
-      run_replay<Simulator, EventHandle>(core_sim, horizon);
+  Leg<legacy::Simulator, legacy::Simulator::Handle> old_leg(legacy_sim,
+                                                            horizon);
+  Leg<Simulator, EventHandle> new_leg(core_sim, horizon);
+  // First half is warmup: queues and side tables grow to their steady-state
+  // depth (the legacy engine's tombstone population takes ~3 simulated days
+  // to fill in).  Throughput and allocations are both measured over the
+  // second, steady-state half only.
+  const std::int64_t half = horizon.seconds() / 2;
+  legacy_sim.run_until(SimTime(half));
+  core_sim.run_until(SimTime(half));
+  std::array<double, kSlices> ratios{};
+  for (int k = 0; k < kSlices; ++k) {
+    SimTime to(half + (horizon.seconds() - half) * (k + 1) / kSlices);
+    if (k % 2 == 0) {
+      old_leg.slice(k, to);
+      new_leg.slice(k, to);
+    } else {
+      new_leg.slice(k, to);
+      old_leg.slice(k, to);
+    }
+    const auto i = static_cast<std::size_t>(k);
+    double old_rate = old_leg.r.slice_events_per_sec[i];
+    ratios[i] = old_rate > 0 ? new_leg.r.slice_events_per_sec[i] / old_rate : 0;
+  }
+  old_leg.finish();
+  new_leg.finish();
+  const RunResult& old = old_leg.r;
+  const RunResult& neu = new_leg.r;
   Simulator::CoreStats st = core_sim.core_stats();
-  std::printf(
-      "  core    %10llu events; steady half %llu in %6.3f s  (%.2fM "
-      "events/s)\n",
-      static_cast<unsigned long long>(neu.events),
-      static_cast<unsigned long long>(neu.steady_events), neu.seconds,
-      neu.events_per_sec / 1e6);
+  auto report = [](const char* name, const RunResult& r) {
+    std::printf(
+        "  %-7s %10llu events; %llu of the steady half's %llu timed in "
+        "%6.3f s  (%.2fM events/s)\n",
+        name, static_cast<unsigned long long>(r.events),
+        static_cast<unsigned long long>(r.timed_events),
+        static_cast<unsigned long long>(r.steady_events), r.seconds,
+        r.events_per_sec / 1e6);
+  };
+  report("legacy", old);
+  report("core", neu);
 
   if (old.events != neu.events) {
     std::fprintf(stderr, "event count mismatch: legacy %llu vs core %llu\n",
@@ -470,8 +524,16 @@ int main(int argc, char** argv) {
     return 2;
   }
 
-  double speedup =
-      old.events_per_sec > 0 ? neu.events_per_sec / old.events_per_sec : 0;
+  std::array<double, kSlices> sorted = ratios;
+  std::sort(sorted.begin(), sorted.end());
+  const double speedup = sorted[kSlices / 2];
+  std::string slice_list;
+  for (int k = 0; k < kSlices; ++k) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%s%.3f", k ? ", " : "",
+                  ratios[static_cast<std::size_t>(k)]);
+    slice_list += buf;
+  }
   double steady_allocs_per_event =
       neu.steady_events > 0 ? static_cast<double>(neu.steady_allocs) /
                                   static_cast<double>(neu.steady_events)
@@ -479,10 +541,12 @@ int main(int argc, char** argv) {
   bool speed_ok = speedup >= 10.0;
   bool alloc_ok =
       neu.steady_allocs == 0 && neu.steady_engine_allocs == 0;
+  std::printf("  slice speedups [%s]\n", slice_list.c_str());
   std::printf(
-      "  speedup %.2fx (floor 10x) — %s; steady-state allocs/event %.6f "
-      "(%llu allocs / %llu events, engine growths %llu) — %s\n",
-      speedup, speed_ok ? "PASS" : "FAIL", steady_allocs_per_event,
+      "  speedup %.2fx median of %d slices (floor 10x) — %s; steady-state "
+      "allocs/event %.6f (%llu allocs / %llu events, engine growths %llu) — "
+      "%s\n",
+      speedup, kSlices, speed_ok ? "PASS" : "FAIL", steady_allocs_per_event,
       static_cast<unsigned long long>(neu.steady_allocs),
       static_cast<unsigned long long>(neu.steady_events),
       static_cast<unsigned long long>(neu.steady_engine_allocs),
@@ -508,7 +572,7 @@ int main(int argc, char** argv) {
       "           \"allocs_per_event\": %.6f, \"steady_engine_growths\": "
       "%llu,\n"
       "           \"peak_queue_depth\": %llu, \"arena_slots\": %llu},\n"
-      "  \"speedup\": %.3f,\n"
+      "  \"speedup\": %.3f, \"slice_speedups\": [%s],\n"
       "  \"guardrails\": {\"min_speedup\": 10.0, \"max_allocs_per_event\": "
       "0, \"pass\": %s}\n"
       "}\n",
@@ -521,7 +585,7 @@ int main(int argc, char** argv) {
       static_cast<unsigned long long>(neu.steady_engine_allocs),
       static_cast<unsigned long long>(st.peak_pending),
       static_cast<unsigned long long>(st.arena_slots),
-      speedup, (speed_ok && alloc_ok) ? "true" : "false");
+      speedup, slice_list.c_str(), (speed_ok && alloc_ok) ? "true" : "false");
   std::fclose(f);
   std::printf("wrote %s\n", out_path.c_str());
   return (speed_ok && alloc_ok) ? 0 : 1;

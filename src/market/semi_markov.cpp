@@ -383,6 +383,7 @@ double SemiMarkovChain::hit_one(int state, int age, int horizon,
   const int b = threshold_index;
   if (b < state) return 1.0;  // already above the threshold
   const int H = horizon;
+  const auto w = static_cast<std::size_t>(b) + 1;
 
   int a = clamp_age(state, age);
   double sa = survival(state, a);
@@ -390,32 +391,31 @@ double SemiMarkovChain::hit_one(int state, int age, int horizon,
 
   // Restrict the chain to states <= b and measure the mass that never
   // escapes within H minutes; hit = 1 - that mass.  Entry propagation as in
-  // average_occupancy.
-  std::vector<std::vector<double>> entries(
-      static_cast<std::size_t>(H) + 1,
-      std::vector<double>(static_cast<std::size_t>(b) + 1, 0.0));
+  // average_occupancy, on a flat [minute t][state j] table.  Rows are sorted
+  // by (sojourn, next), so the first jump past the horizon ends a row.
+  std::vector<double> entries((static_cast<std::size_t>(H) + 1) * w, 0.0);
   double no_hit = survival(state, a + H) / sa;  // never leaves initial state
   for (const auto& tr : row(state)) {
     if (tr.sojourn <= a) continue;
     // Jumps beyond the horizon are already in survival(state, a + H).
-    if (tr.sojourn - a > H) continue;
+    if (tr.sojourn - a > H) break;
     if (tr.next > b) continue;  // escape: contributes to hit
-    entries[static_cast<std::size_t>(tr.sojourn - a)]
-           [static_cast<std::size_t>(tr.next)] += tr.prob / sa;
+    entries[static_cast<std::size_t>(tr.sojourn - a) * w +
+            static_cast<std::size_t>(tr.next)] += tr.prob / sa;
   }
   for (int t = 1; t <= H; ++t) {
-    const auto& et = entries[static_cast<std::size_t>(t)];
+    const double* et = entries.data() + static_cast<std::size_t>(t) * w;
     for (int j = 0; j <= b; ++j) {
-      double m = et[static_cast<std::size_t>(j)];
+      double m = et[j];
       if (m <= kMassEps) continue;
       no_hit += m * survival(j, H - t);
       for (const auto& tr : row(j)) {
         int tt = t + tr.sojourn;
         // Jumps past the horizon are inside survival(j, H - t) above.
-        if (tt > H) continue;
+        if (tt > H) break;
         if (tr.next > b) continue;  // escape within horizon
-        entries[static_cast<std::size_t>(tt)]
-               [static_cast<std::size_t>(tr.next)] += m * tr.prob;
+        entries[static_cast<std::size_t>(tt) * w +
+                static_cast<std::size_t>(tr.next)] += m * tr.prob;
       }
     }
   }
@@ -429,15 +429,12 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
   const int n = state_count();
   const int H = horizon;
 
-  // Batched first passage for every threshold at once: one flat
-  // entry-propagation table indexed [minute t][state j, threshold b] (j <= b,
-  // triangular) runs all the per-threshold restricted DPs in lockstep.  For
-  // each fixed b the operations — seeding, the kMassEps cell skip, the
-  // survival products, the accumulation order — are exactly those of
-  // hit_one(state, age, horizon, b), so the curve equals the per-threshold
-  // values bit for bit; batching saves the per-call table allocation and
-  // walks each transition row once per (t, j) slice instead of once per
-  // threshold's private copy.
+  // Batched first passage for every threshold at once: one flat table runs
+  // the per-threshold restricted DPs in lockstep.  Each minute's slice is
+  // state-major and triangular, cell (j, b) at row0(j) + b for b in [j, n).
+  // For each fixed b the seeding, the kMassEps cell skip, the survival
+  // products and the accumulation order are exactly hit_one()'s, so the
+  // curve equals the per-threshold values bit for bit.
   const auto np = static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) + 1) / 2;
   const std::size_t table = (static_cast<std::size_t>(H) + 1) * np;
   if (table > (std::size_t{1} << 23)) {
@@ -448,13 +445,14 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
     }
     return hit;
   }
-  auto tidx = [](int j, int b) {
-    return static_cast<std::size_t>(b) * (static_cast<std::size_t>(b) + 1) / 2 +
-           static_cast<std::size_t>(j);
+  auto row0 = [n](int j) {
+    return static_cast<std::size_t>(j * (2 * n - j - 1) / 2);
   };
 
-  std::vector<double> entries(table, 0.0);  // flat [t][tidx(j, b)]
+  std::vector<double> entries(table, 0.0);  // flat [t][row0(j) + b]
   std::vector<double> no_hit(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> masked(static_cast<std::size_t>(n), 0.0);
+  double* mm = masked.data();
 
   int a = clamp_age(state, age);
   double sa = survival(state, a);
@@ -465,43 +463,42 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
   for (int b = state; b < n; ++b) no_hit[static_cast<std::size_t>(b)] = stay;
   for (const auto& tr : row(state)) {
     if (tr.sojourn <= a) continue;
-    if (tr.sojourn - a > H) continue;  // inside survival(state, a + H)
+    if (tr.sojourn - a > H) break;  // inside survival(state, a + H)
     double w = tr.prob / sa;
-    const std::size_t base = static_cast<std::size_t>(tr.sojourn - a) * np;
+    double* dst = entries.data() +
+                  static_cast<std::size_t>(tr.sojourn - a) * np + row0(tr.next);
     // next > b escapes threshold b; seed only the thresholds it stays under.
-    for (int b = std::max(state, tr.next); b < n; ++b) {
-      entries[base + tidx(tr.next, b)] += w;
-    }
+    for (int b = std::max(state, tr.next); b < n; ++b) dst[b] += w;
   }
-  // Loop order is (t, j, transition, b) rather than the per-threshold
-  // (t, b, j, transition): each transition row is walked once per (t, j)
-  // slice instead of once per live threshold.  For any fixed b this visits
-  // the same cells in the same order with the same floating-point products
-  // as the per-threshold formulation (j ascending, then row order; the t
-  // slice is read-only while t is processed since every target is at
-  // t + sojourn > t), so the per-threshold bit-identity is preserved.
+  // Loop order (t, j, transition, b) walks each transition row once per
+  // (t, j) yet visits each fixed b's cells in hit_one()'s order; slice t is
+  // read-only while t runs, as every target is at t + sojourn > t.  Cells at
+  // or below kMassEps are masked to +0.0 once per (t, j), so the b loops are
+  // contiguous and branch-free: adding +0.0 to a non-negative cell is exact
+  // while prob and survival are finite and non-negative.
   for (int t = 1; t <= H; ++t) {
-    const std::size_t base = static_cast<std::size_t>(t) * np;
+    const double* slice = entries.data() + static_cast<std::size_t>(t) * np;
     for (int j = 0; j < n; ++j) {
       const int b0 = std::max(state, j);
-      const double surv_j = survival(j, H - t);
+      const double* src = slice + row0(j);
       bool live = false;
       for (int b = b0; b < n; ++b) {
-        double mass = entries[base + tidx(j, b)];
-        if (mass <= kMassEps) continue;  // hit_one's cell skip
-        no_hit[static_cast<std::size_t>(b)] += mass * surv_j;
-        live = true;
+        mm[b] = src[b] > kMassEps ? src[b] : 0.0;
+        live |= mm[b] > 0.0;
       }
       if (!live) continue;
+      const double surv_j = survival(j, H - t);
+      for (int b = b0; b < n; ++b) {
+        no_hit[static_cast<std::size_t>(b)] += mm[b] * surv_j;
+      }
       for (const auto& tr : row(j)) {
         int tt = t + tr.sojourn;
-        if (tt > H) continue;  // inside survival(j, H - t) above
-        const std::size_t tbase = static_cast<std::size_t>(tt) * np;
+        if (tt > H) break;  // inside survival(j, H - t) above
+        double* dst =
+            entries.data() + static_cast<std::size_t>(tt) * np + row0(tr.next);
         // next > b escapes threshold b within the horizon.
         for (int b = std::max(b0, tr.next); b < n; ++b) {
-          double mass = entries[base + tidx(j, b)];
-          if (mass <= kMassEps) continue;
-          entries[tbase + tidx(tr.next, b)] += mass * tr.prob;
+          dst[b] += mm[b] * tr.prob;
         }
       }
     }

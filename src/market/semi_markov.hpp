@@ -156,10 +156,13 @@ class SemiMarkovChain {
   /// Batched: one flat entry-propagation table runs every threshold's
   /// restricted DP in lockstep, replicating hit_one()'s arithmetic (and
   /// accumulation order) per threshold exactly — the returned values are
-  /// bit-identical to calling hit_one() per index, but the table is
-  /// allocated once and each transition row is walked once per (minute,
-  /// state) slice.  Falls back to per-threshold hit_one() calls when the
-  /// (horizon x state-pair) table would be too large.
+  /// bit-identical to calling hit_one() per index.  Each minute's slice is
+  /// state-major (row j holds thresholds [j, n) contiguously); each (minute,
+  /// state) row is masked once at kMassEps and walked once per transition,
+  /// and a row's walk stops at its first jump past the horizon, which needs
+  /// kernel rows sorted by (sojourn, next).  Falls back to per-threshold
+  /// hit_one() calls when the (horizon x state-pair) table would be too
+  /// large.
   std::vector<double> hit_curve(int state, int age, int horizon) const;
 
   /// Single-threshold first passage: Pr(price leaves the set
