@@ -30,7 +30,6 @@ const char* msg_type_name(MsgType t) {
     case MsgType::kAcceptNack: return "accept_nack";
     case MsgType::kChosen: return "chosen";
     case MsgType::kHeartbeat: return "heartbeat";
-    case MsgType::kForward: return "forward";
     case MsgType::kCatchup: return "catchup";
     case MsgType::kLeaseAck: return "lease_ack";
     case MsgType::kCatchupBatch: return "catchup_batch";

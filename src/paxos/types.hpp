@@ -71,7 +71,6 @@ enum class MsgType : std::uint8_t {
   kAcceptNack,
   kChosen,        // learner broadcast from the proposer
   kHeartbeat,     // leader liveness (+ lease offer when leases are on)
-  kForward,       // client command forwarded to the leader
   kCatchup,       // follower asks the leader for chosen slots >= `slot`
   kLeaseAck,      // follower grants the heartbeat's lease offer (leases on);
                   // echoes the heartbeat's `stamp`
@@ -93,7 +92,7 @@ struct Message {
   Ballot ballot;
   Slot slot = 0;          // accept/accepted/chosen
   Slot first_open = 0;    // prepare: lowest slot being prepared
-  Value value;            // accept/chosen/forward
+  Value value;            // accept/chosen
   std::vector<PromiseInfo> promises;  // promise / catch-up batch entries
   Slot commit_index = 0;  // heartbeat: leader's chosen prefix
   /// Heartbeat send time in sim-seconds (integer by the detlint float-timeout
