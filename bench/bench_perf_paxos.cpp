@@ -1,11 +1,11 @@
-// Paxos data-plane throughput guardrail (ISSUE 10 tentpole): the pipelined
-// + batched + leased data plane vs the seed per-op protocol, for both
-// classic majority replication and RS-Paxos (Mu et al.; paper §5.1.2).
+// Paxos data-plane throughput guardrail: the pipelined + batched + leased
+// data plane vs the plane off, for both classic majority replication and
+// RS-Paxos (Mu et al.; paper §5.1.2).
 //
 // Two drivers per replication policy:
-//   * serial — the seed protocol's client pattern: one put at a time, wait
-//     for the ack, submit the next.  Every op pays a full accept round and
-//     the commit latency is the throughput.
+//   * serial — the plane off, one put at a time: wait for the ack, submit
+//     the next.  Every op pays a full accept round and the commit latency
+//     is the throughput.
 //   * closed loop — kClients clients that each resubmit the moment their
 //     previous put is acked, against a cluster with the full data plane on
 //     (multi-slot pipelining, op batching, leader leases, fast catch-up).

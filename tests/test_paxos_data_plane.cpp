@@ -1,8 +1,11 @@
-// The high-throughput data plane (ISSUE 10): op batching, multi-slot
-// pipelining, leader leases, and fast catch-up — exercised directly on a
-// ClusterHarness and, for lease safety, across the seeded chaos corpus.
+// The high-throughput data plane: op batching, multi-slot pipelining,
+// leader leases, and fast catch-up — exercised directly on a ClusterHarness
+// and, for lease safety, across the seeded chaos corpus.  PaxosOpPath pins
+// the one client-op path (queue -> flush -> propose) with the plane off and
+// with the preset.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 #include <memory>
 #include <optional>
@@ -235,6 +238,148 @@ TEST_F(PaxosDataPlane, FastCatchupRestoresACrashedFollower) {
   // catch-up chunks rather than one message per slot.
   EXPECT_EQ(sms[follower]->log(), sms[lead]->log());
   EXPECT_GT(group().replica(lead).catchup_slots_served(), 0);
+}
+
+// ---- one client-op path: queue -> flush -> propose --------------------------
+
+/// Runs each case with the plane off and with data_plane_preset(): the flags
+/// parameterise the one op path, so both must keep the same guarantees.
+struct PaxosOpPath : ::testing::TestWithParam<bool>, TestCluster {
+  void start_cluster() {
+    start(5, 7, GetParam() ? ClusterHarness::data_plane_preset()
+                           : DataPlaneOptions{});
+  }
+};
+
+std::string plane_name(const ::testing::TestParamInfo<bool>& info) {
+  return info.param ? "Preset" : "PlaneOff";
+}
+
+INSTANTIATE_TEST_SUITE_P(Plane, PaxosOpPath, ::testing::Bool(), plane_name);
+
+TEST_P(PaxosOpPath, OpsQueuedWhileElectingCommitOnceInOrderAfterRecovery) {
+  start_cluster();
+  NodeId lead = cluster->wait_for_leader();
+  ASSERT_GE(lead, 0);
+  // Slots in flight at the old leader: its successor must recover them
+  // before anything it queued while electing.
+  for (int i = 0; i < 6; ++i) {
+    group().replica(lead).submit(cmd("pre" + std::to_string(i)), nullptr);
+  }
+  sim().run_until(sim().now() + 1);
+  group().crash(lead);
+
+  // Hand every candidate two ops the instant it broadcasts a prepare.  The
+  // submit event runs before any prepare is delivered, so the ops land
+  // strictly inside the election.
+  std::map<NodeId, std::vector<std::string>> queued;  // per candidate, in order
+  std::map<std::string, int> resolved, acked;
+  std::map<NodeId, Ballot> prepared;
+  int seq = 0;
+  auto submit_to = [&](NodeId id) {
+    for (int k = 0; k < 2; ++k) {
+      std::string op = "elect" + std::to_string(seq++);
+      group().replica(id).submit(
+          cmd(op), [&resolved, &acked, op](bool ok,
+                                           const std::vector<std::uint8_t>&) {
+            ++resolved[op];
+            if (ok) ++acked[op];
+          });
+      EXPECT_FALSE(resolved.contains(op)) << "candidate " << id
+                                          << " refused " << op;
+      queued[id].push_back(op);
+    }
+  };
+  cluster->net.set_fault_hook([&](NodeId from, NodeId, const Message& m) {
+    if (m.type == MsgType::kPrepare && group().leader_id() < 0 &&
+        prepared[from] != m.ballot) {
+      prepared[from] = m.ballot;
+      sim().schedule_after(0, [&submit_to, from] { submit_to(from); });
+    }
+    return SimNetwork::FaultAction{};
+  });
+  ASSERT_GE(cluster->wait_for_leader(), 0);
+  sim().run_until(sim().now() + 600);
+  cluster->net.set_fault_hook(nullptr);
+  const NodeId winner = group().leader_id();
+  ASSERT_GE(winner, 0);
+  ASSERT_NE(winner, lead);
+
+  // A candidate that lost a duel may have led briefly: its ops either
+  // committed or lost their slot to the winner and were failed.  Either
+  // way each resolves at most once, and is applied iff it was acked.
+  const auto& log = sms[winner]->log();
+  auto position = [&log](const std::string& op) {
+    std::vector<std::size_t> at;
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      if (log[i] == cmd(op)) at.push_back(i);
+    }
+    return at;
+  };
+  for (const auto& [id, ops] : queued) {
+    std::size_t prev = 0;
+    for (const std::string& op : ops) {
+      EXPECT_LE(resolved[op], 1) << op;
+      std::vector<std::size_t> at = position(op);
+      ASSERT_EQ(at.size(), acked.contains(op) ? 1u : 0u) << op;
+      if (at.empty()) continue;
+      EXPECT_GE(at[0], prev) << op << " applied out of submit order";
+      prev = at[0];
+    }
+  }
+  // Everything the winner queued while electing committed exactly once,
+  // after every slot it recovered (pre-crash ops and rivals' proposals).
+  ASSERT_FALSE(queued[winner].empty());
+  std::size_t first_own = log.size();
+  for (const std::string& op : queued[winner]) {
+    EXPECT_EQ(acked[op], 1) << op;
+    std::vector<std::size_t> at = position(op);
+    if (!at.empty()) first_own = std::min(first_own, at[0]);
+  }
+  std::vector<std::string> recovered;
+  for (int i = 0; i < 6; ++i) recovered.push_back("pre" + std::to_string(i));
+  for (const auto& [id, ops] : queued) {
+    if (id != winner) recovered.insert(recovered.end(), ops.begin(), ops.end());
+  }
+  for (const std::string& op : recovered) {
+    for (std::size_t at : position(op)) {
+      EXPECT_LT(at, first_own) << op << " applied after the winner's queue";
+    }
+  }
+  for (NodeId id : group().node_ids()) {
+    if (id != lead) {
+      EXPECT_EQ(sms[id]->log(), log) << "replica " << id;
+    }
+  }
+}
+
+TEST_P(PaxosOpPath, ConfigChangeAcksFireOnceThroughTheSlotAckList) {
+  start_cluster();
+  ASSERT_GE(cluster->wait_for_leader(), 0);
+  int add_calls = 0, add_ok = 0, remove_calls = 0, remove_ok = 0;
+  group().add_node(5, [&](bool ok, const std::vector<std::uint8_t>&) {
+    ++add_calls;
+    add_ok += ok ? 1 : 0;
+  });
+  sim().run_until(sim().now() + 300);
+  EXPECT_EQ(add_calls, 1);
+  EXPECT_EQ(add_ok, 1);
+  NodeId lead = group().leader_id();
+  ASSERT_GE(lead, 0);
+  EXPECT_EQ(group().replica(lead).config().size(), 6u);
+
+  group().remove_node(5, [&](bool ok, const std::vector<std::uint8_t>&) {
+    ++remove_calls;
+    remove_ok += ok ? 1 : 0;
+  });
+  sim().run_until(sim().now() + 300);
+  EXPECT_EQ(remove_calls, 1);
+  EXPECT_EQ(remove_ok, 1);
+  lead = group().leader_id();
+  ASSERT_GE(lead, 0);
+  EXPECT_EQ(group().replica(lead).config().size(), 5u);
+  // Client ops still commit through the same list after both changes.
+  EXPECT_EQ(submit_burst(8, "after-config", 300), 8);
 }
 
 }  // namespace

@@ -1,10 +1,11 @@
 // Paxos edge cases: config codec, snapshot installs, group-level deadline
-// failures, ballot ordering.
+// failures (no quorum, lost in-flight acks), ballot ordering.
 #include <gtest/gtest.h>
 
 #include <map>
 
 #include "paxos/group.hpp"
+#include "paxos/harness.hpp"
 
 namespace jupiter::paxos {
 namespace {
@@ -100,6 +101,40 @@ TEST(Group, SubmitFailsAfterDeadlineWithoutQuorum) {
   sim.run_until(sim.now() + 400);
   EXPECT_TRUE(called);
   EXPECT_FALSE(ok);
+}
+
+TEST(Group, SubmitResolvesByDeadlineWhenTheLeaderCrashesMidFlight) {
+  // crash() drops the leader's queued and in-flight acks without calling
+  // them, so only Group's own deadline can resolve the op.  Its outcome is
+  // unknown (it may yet commit through the next leader), so it must fail
+  // rather than retry: a retry could apply it twice.
+  for (bool preset : {false, true}) {
+    Simulator sim;
+    SimNetwork net(sim, 11);
+    Replica::Options opts;
+    if (preset) opts.plane = ClusterHarness::data_plane_preset();
+    Group group(
+        sim, net, opts, [](NodeId) { return std::make_unique<NullSm>(); }, 12);
+    group.bootstrap(5);
+    sim.run_until(sim.now() + 120);
+    NodeId lead = group.leader_id();
+    ASSERT_GE(lead, 0);
+    const SimTime deadline = sim.now() + 600;
+    int calls = 0;
+    bool ok = true;
+    SimTime resolved_at;
+    group.submit({1}, [&](bool o, const std::vector<std::uint8_t>&) {
+      ++calls;
+      ok = o;
+      resolved_at = sim.now();
+    });
+    group.crash(lead);
+    sim.run_until(sim.now() + 2000);
+    EXPECT_EQ(calls, 1) << (preset ? "preset" : "plane off");
+    EXPECT_FALSE(ok) << (preset ? "preset" : "plane off");
+    EXPECT_LE(resolved_at, deadline) << (preset ? "preset" : "plane off");
+    EXPECT_GE(group.leader_id(), 0);  // a successor took over meanwhile
+  }
 }
 
 TEST(Group, AddExistingNodeThrows) {

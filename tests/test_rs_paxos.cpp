@@ -189,6 +189,61 @@ TEST(RsPaxosDataPlane, ChunkLogsOfBatchedPutsReconstructTheStore) {
   }
 }
 
+TEST_F(RsPaxosFixture, CutOffLeaderAppliesTheChosenValueNotItsOwnProposal) {
+  // A leader cut off mid-proposal still holds the full bytes of a value
+  // that loses its slot.  Once it learns the rival's chosen value it must
+  // apply that slot as the winner's chunk — applying its own proposal
+  // would leave its store (and its lease reads) diverged for good.
+  bootstrap();
+  NodeId a = wait_for_leader();
+  ASSERT_GE(a, 0);
+  auto put_k = [](const std::string& value) {
+    KvCommand c;
+    c.op = KvOp::kPut;
+    c.key = "k";
+    c.value.assign(value.begin(), value.end());
+    return c.encode();
+  };
+  for (NodeId id : group.node_ids()) {
+    if (id != a) net.cut_pair(a, id);
+  }
+  const Slot slot = group.replica(a).commit_index();
+  group.replica(a).submit(put_k("X"), nullptr);
+
+  // The majority side elects B, whose put lands in the same slot.
+  NodeId b = -1;
+  for (int i = 0; i < 120 && b < 0; ++i) {
+    sim.run_until(sim.now() + 5);
+    for (NodeId id : group.node_ids()) {
+      if (id != a && group.replica(id).is_leader()) b = id;
+    }
+  }
+  ASSERT_GE(b, 0);
+  bool b_ok = false;
+  group.replica(b).submit(put_k("Y"),
+                          [&b_ok](bool ok, const std::vector<std::uint8_t>&) {
+                            b_ok = ok;
+                          });
+  for (NodeId id : group.node_ids()) {
+    if (id != a) net.heal_pair(a, id);
+  }
+  sim.run_until(sim.now() + 300);
+  ASSERT_TRUE(b_ok);
+
+  const Value* at_a = group.replica(a).chosen_value(slot);
+  const Value* at_b = group.replica(b).chosen_value(slot);
+  ASSERT_NE(at_a, nullptr);
+  ASSERT_NE(at_b, nullptr);
+  EXPECT_EQ(at_a->value_id, at_b->value_id);  // Y won the contested slot
+  auto on_b = sms[b]->get("k");
+  ASSERT_TRUE(on_b.has_value());
+  EXPECT_EQ(std::string(on_b->begin(), on_b->end()), "Y");
+  // A holds only Y's chunk, so its materialized store has no value for k.
+  auto on_a = sms[a]->get("k");
+  EXPECT_FALSE(on_a.has_value())
+      << "cut-off leader applied its losing proposal X";
+}
+
 TEST_F(RsPaxosFixture, ToleratesExactlyOneFailure) {
   bootstrap();
   NodeId lead = wait_for_leader();

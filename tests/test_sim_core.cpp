@@ -53,8 +53,12 @@ struct Golden {
 // behaviour change, never for an engine optimization:
 //   for seed in 1..16: ChaosRunner(seed).run() -> {fingerprint(),
 //   fnv1a64(metrics.to_csv())}
+// Seed 1's fingerprint was re-captured when Group::submit began enforcing
+// its deadline with an event: two ops whose acks died with a crashed
+// leader now fail on time (+2 dispatched events; messages, grants and the
+// metrics CSV unchanged).
 constexpr Golden kGoldens[] = {
-    {1ULL, 0x2D3A7678FCF233B5ULL, 0xF09BBC511E166C52ULL},
+    {1ULL, 0x95979416CA310183ULL, 0xF09BBC511E166C52ULL},
     {2ULL, 0x753A3C09E7289622ULL, 0x94DF29A0216552DAULL},
     {3ULL, 0xB576B2CCFA4A5795ULL, 0xD65BD6BDD2A642F3ULL},
     {4ULL, 0x9340C7C78003DBC3ULL, 0xFAB21CC330DC2728ULL},
