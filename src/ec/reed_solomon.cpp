@@ -1,7 +1,6 @@
 #include "ec/reed_solomon.hpp"
 
 #include <algorithm>
-#include <cstring>
 #include <stdexcept>
 #include <utility>
 
@@ -102,15 +101,10 @@ std::vector<Chunk> ReedSolomon::encode_chunks(
   for (const auto& c : data) {
     if (c.size() != len) throw std::invalid_argument("unequal chunk sizes");
   }
-  std::vector<Chunk> out(static_cast<std::size_t>(n_), Chunk(len, 0));
-  // Systematic: copy data rows, compute parity rows with the region kernels.
-  for (int i = 0; i < m_; ++i) out[static_cast<std::size_t>(i)] = data[static_cast<std::size_t>(i)];
-  std::vector<const std::uint8_t*> src(static_cast<std::size_t>(m_));
-  for (int c = 0; c < m_; ++c) src[static_cast<std::size_t>(c)] = data[static_cast<std::size_t>(c)].data();
-  std::vector<std::uint8_t*> parity;
-  parity.reserve(static_cast<std::size_t>(n_ - m_));
-  for (int r = m_; r < n_; ++r) parity.push_back(out[static_cast<std::size_t>(r)].data());
-  coded_muladd(matrix_, static_cast<std::size_t>(m_), src, parity, len);
+  // Systematic: the data rows are the input verbatim.
+  std::vector<Chunk> out(data.begin(), data.end());
+  out.resize(static_cast<std::size_t>(n_));
+  add_parity(out, len);
   return out;
 }
 
@@ -125,19 +119,35 @@ std::vector<Chunk> ReedSolomon::encode(
       (data.size() + static_cast<std::size_t>(m_) - 1) /
       static_cast<std::size_t>(m_);
   if (chunk_len == 0) chunk_len = 1;  // keep chunks non-empty
-  std::vector<Chunk> split(static_cast<std::size_t>(m_),
-                           Chunk(chunk_len, 0));
+  // The payload goes straight into the systematic rows; only the padding
+  // tail is zero-filled.
+  std::vector<Chunk> out(static_cast<std::size_t>(n_));
   for (int c = 0; c < m_; ++c) {
     const std::size_t lo =
         std::min(static_cast<std::size_t>(c) * chunk_len, data.size());
-    const std::size_t hi =
-        std::min(lo + chunk_len, data.size());
-    if (hi > lo) {
-      std::memcpy(split[static_cast<std::size_t>(c)].data(), data.data() + lo,
-                  hi - lo);
-    }
+    const std::size_t hi = std::min(lo + chunk_len, data.size());
+    Chunk& row = out[static_cast<std::size_t>(c)];
+    row.reserve(chunk_len);
+    row.assign(data.begin() + static_cast<std::ptrdiff_t>(lo),
+               data.begin() + static_cast<std::ptrdiff_t>(hi));
+    row.resize(chunk_len, 0);
   }
-  return encode_chunks(split);
+  add_parity(out, chunk_len);
+  return out;
+}
+
+void ReedSolomon::add_parity(std::vector<Chunk>& out, std::size_t len) const {
+  std::vector<const std::uint8_t*> src(static_cast<std::size_t>(m_));
+  for (int c = 0; c < m_; ++c) src[static_cast<std::size_t>(c)] = out[static_cast<std::size_t>(c)].data();
+  std::vector<std::uint8_t*> parity;
+  parity.reserve(static_cast<std::size_t>(n_ - m_));
+  for (int r = m_; r < n_; ++r) {
+    // The region kernels accumulate (dst ^= ...), so parity starts zeroed.
+    Chunk& row = out[static_cast<std::size_t>(r)];
+    row.assign(len, 0);
+    parity.push_back(row.data());
+  }
+  coded_muladd(matrix_, static_cast<std::size_t>(m_), src, parity, len);
 }
 
 const GFMatrix* ReedSolomon::decode_matrix_for(

@@ -88,6 +88,10 @@ class ReedSolomon {
   const GFMatrix* decode_matrix_for(
       const std::vector<std::size_t>& rows) const;
 
+  /// Fills the parity rows out[m, n) of `out` (n rows, the first m holding
+  /// `len` bytes of data each) with the coded bytes.
+  void add_parity(std::vector<Chunk>& out, std::size_t len) const;
+
   int m_, n_;
   GFMatrix matrix_;  // n x m, top m rows identity
 

@@ -90,7 +90,7 @@ void SimNetwork::record_drop(NodeId from, NodeId to, DropReason reason) {
   }
 }
 
-void SimNetwork::send(NodeId to, const Message& msg) {
+void SimNetwork::send(NodeId to, Message msg) {
   ++sent_;
   if (obs::Registry* reg = obs::metrics()) {
     link_stats(msg.from, to, reg).sent->inc();
@@ -115,10 +115,12 @@ void SimNetwork::send(NodeId to, const Message& msg) {
 
   flow_hop(msg.from, msg, "send", sim_.now());
 
+  std::uint64_t payload_bytes = msg.value.payload.size();
+  for (const auto& p : msg.promises) payload_bytes += p.value.payload.size();
+  const NodeId from = msg.from;
   int copies = 1 + std::max(0, act.duplicates);
   for (int c = 0; c < copies; ++c) {
-    value_bytes_ += msg.value.payload.size();
-    for (const auto& p : msg.promises) value_bytes_ += p.value.payload.size();
+    value_bytes_ += payload_bytes;
 
     TimeDelta latency = opts_.min_latency;
     if (opts_.max_latency > opts_.min_latency) {
@@ -127,15 +129,16 @@ void SimNetwork::send(NodeId to, const Message& msg) {
                                                 opts_.min_latency + 1)));
     }
     latency += std::max<TimeDelta>(0, act.extra_latency);
-    // Copy the message into the event; receiver liveness and link state are
-    // re-checked at delivery time (either may have changed in flight).
-    NodeId from = msg.from;
-    Message copy = msg;
+    // The last copy takes the message itself; earlier duplicates copy it.
+    // Receiver liveness and link state are re-checked at delivery time
+    // (either may have changed in flight).
+    Message copy = c + 1 < copies ? msg : std::move(msg);
     // The in-flight Message exceeds the inline-callback capacity, so this
-    // closure is boxed: one explicit allocation per send, alongside the
-    // payload copies the Message itself already makes.
+    // closure is boxed: one explicit allocation per send.  The payload
+    // buffers move with the Message and on into the handler.
     sim_.schedule_after(latency, Simulator::Callback::boxed(
-                                     [this, from, to, copy = std::move(copy)] {
+                                     [this, from, to,
+                                      copy = std::move(copy)]() mutable {
       if (!is_up(to) || link_cut(from, to)) {
         ++dropped_;
         record_drop(from, to, kDropReceiverDownOrCut);
@@ -160,7 +163,7 @@ void SimNetwork::send(NodeId to, const Message& msg) {
         delivered_counter_->inc();
       }
       flow_hop(to, copy, "recv", sim_.now());
-      (*handler)(copy);
+      (*handler)(std::move(copy));
     }));
   }
 }

@@ -36,7 +36,9 @@ namespace jupiter::paxos {
 
 class SimNetwork {
  public:
-  using Handler = std::function<void(const Message&)>;
+  /// Receives a delivered message it owns outright: the handler may move
+  /// the payload into its own state.  A `const Message&` callable binds too.
+  using Handler = std::function<void(Message&&)>;
 
   struct Options {
     TimeDelta min_latency = 0;   // seconds; sub-second WANs round to 0-1 s
@@ -89,7 +91,10 @@ class SimNetwork {
   void set_fault_hook(FaultHook hook) { fault_hook_ = std::move(hook); }
 
   /// Sends msg to `to` (delivered via the simulator after a latency draw).
-  void send(NodeId to, const Message& msg);
+  /// The message moves into its delivery event; only fault-hook duplicates
+  /// beyond the last copy are copied.  Pass an rvalue to skip the copy into
+  /// the parameter.
+  void send(NodeId to, Message msg);
 
   std::uint64_t messages_sent() const { return sent_; }
   std::uint64_t messages_delivered() const { return delivered_; }

@@ -34,7 +34,7 @@ Replica::Replica(Simulator& sim, SimNetwork& net, NodeId id,
 void Replica::start() {
   alive_ = true;
   last_heartbeat_ = sim_.now();
-  net_.attach(id_, [this](const Message& m) { handle(m); });
+  net_.attach(id_, [this](Message&& m) { handle(std::move(m)); });
   net_.set_up(id_, true);
   arm_failure_detector();
   arm_retry();
@@ -186,7 +186,7 @@ void Replica::on_prepare(const Message& m) {
     r.type = MsgType::kPrepareNack;
     r.from = id_;
     r.ballot = promised_ > m.ballot ? promised_ : m.ballot;
-    net_.send(m.from, r);
+    net_.send(m.from, std::move(r));
     return;
   }
   if (m.ballot >= promised_) {
@@ -202,17 +202,17 @@ void Replica::on_prepare(const Message& m) {
       if (!st.acc.has_value) continue;
       r.promises.push_back(PromiseInfo{slot, st.acc.accepted, st.acc.value});
     }
-    net_.send(m.from, r);
+    net_.send(m.from, std::move(r));
   } else {
     Message r;
     r.type = MsgType::kPrepareNack;
     r.from = id_;
     r.ballot = promised_;
-    net_.send(m.from, r);
+    net_.send(m.from, std::move(r));
   }
 }
 
-void Replica::on_promise(const Message& m) {
+void Replica::on_promise(Message&& m) {
   if (!preparing_ || m.ballot != ballot_) return;
   if (!in_config(m.from)) return;
   if (std::find(promises_from_.begin(), promises_from_.end(), m.from) !=
@@ -220,7 +220,7 @@ void Replica::on_promise(const Message& m) {
     return;
   }
   promises_from_.push_back(m.from);
-  promise_msgs_.push_back(m);
+  promise_msgs_.push_back(std::move(m));
   if (static_cast<int>(promises_from_.size()) >= quorum()) become_leader();
 }
 
@@ -353,18 +353,26 @@ void Replica::become_leader() {
 
 // ---------------------------------------------------------------- phase 2
 
-Value Replica::make_chunk_value(const Value& full, int chunk_index) const {
-  int n = static_cast<int>(config_.size());
-  const ReedSolomon& rs = ReedSolomon::shared(opts_.policy.rs_m, n);
-  auto chunks = rs.encode(full.payload);
+bool Replica::codes(const Value& v) const {
+  return opts_.policy.coded() &&
+         (v.kind == ValueKind::kCommand || v.kind == ValueKind::kBatch);
+}
+
+std::vector<Chunk> Replica::encode_fanout(const Value& full) const {
+  const int n = static_cast<int>(config_.size());
+  return ReedSolomon::shared(opts_.policy.rs_m, n).encode(full.payload);
+}
+
+Value Replica::make_chunk_value(const Value& full, Chunk chunk,
+                                int chunk_index) const {
   Value v;
   v.kind = full.kind;
   v.value_id = full.value_id;
   v.coded = true;
   v.chunk_index = chunk_index;
   v.full_size = static_cast<std::uint32_t>(full.payload.size());
-  v.rs_n = n;
-  v.payload = std::move(chunks[static_cast<std::size_t>(chunk_index)]);
+  v.rs_n = static_cast<int>(config_.size());
+  v.payload = std::move(chunk);
   return v;
 }
 
@@ -404,9 +412,9 @@ void Replica::propose(Slot slot, Value full_value,
 
 void Replica::send_accepts(Slot slot) {
   SlotState& st = slot_state(slot);
-  bool code_it = opts_.policy.coded() &&
-                 (st.proposal_full.kind == ValueKind::kCommand ||
-                  st.proposal_full.kind == ValueKind::kBatch);
+  const bool code_it = codes(st.proposal_full);
+  std::vector<Chunk> chunks;
+  if (code_it) chunks = encode_fanout(st.proposal_full);
   for (std::size_t i = 0; i < config_.size(); ++i) {
     Message m;
     m.type = MsgType::kAccept;
@@ -414,13 +422,15 @@ void Replica::send_accepts(Slot slot) {
     m.ballot = ballot_;
     m.slot = slot;
     m.trace_id = st.trace_id;
-    m.value = code_it ? make_chunk_value(st.proposal_full, static_cast<int>(i))
+    m.value = code_it ? make_chunk_value(st.proposal_full,
+                                         std::move(chunks[i]),
+                                         static_cast<int>(i))
                       : st.proposal_full;
-    net_.send(config_[i], m);
+    net_.send(config_[i], std::move(m));
   }
 }
 
-void Replica::on_accept(const Message& m) {
+void Replica::on_accept(Message&& m) {
   if (m.ballot >= promised_) {
     promised_ = m.ballot;
     leader_ = m.from;
@@ -428,7 +438,7 @@ void Replica::on_accept(const Message& m) {
     SlotState& st = slot_state(m.slot);
     st.acc.promised = m.ballot;
     st.acc.accepted = m.ballot;
-    st.acc.value = m.value;
+    st.acc.value = std::move(m.value);
     st.acc.has_value = true;
     Message r;
     r.type = MsgType::kAccepted;
@@ -436,13 +446,13 @@ void Replica::on_accept(const Message& m) {
     r.ballot = m.ballot;
     r.slot = m.slot;
     r.trace_id = m.trace_id;  // echo: the reply is part of the same op
-    net_.send(m.from, r);
+    net_.send(m.from, std::move(r));
   } else {
     Message r;
     r.type = MsgType::kAcceptNack;
     r.from = id_;
     r.ballot = promised_;
-    net_.send(m.from, r);
+    net_.send(m.from, std::move(r));
   }
 }
 
@@ -460,22 +470,28 @@ void Replica::on_accepted(const Message& m) {
 
   // Decided.  Tell everyone; RS-Paxos followers get their chunk again so a
   // node that missed the accept still ends up holding its share.
-  bool coded = opts_.policy.coded() &&
-               (st.proposal_full.kind == ValueKind::kCommand ||
-                st.proposal_full.kind == ValueKind::kBatch);
+  const bool coded = codes(st.proposal_full);
+  std::vector<Chunk> chunks;
   for (std::size_t i = 0; i < config_.size(); ++i) {
+    // One encode serves the whole fan-out.  The leader's own decide() may
+    // apply a later, already-chosen kConfig slot and resize config_ mid-loop;
+    // the remaining destinations then get chunks coded for the new n.
+    if (coded && chunks.size() != config_.size()) {
+      chunks = encode_fanout(st.proposal_full);
+    }
     Message c;
     c.type = MsgType::kChosen;
     c.from = id_;
     c.ballot = ballot_;
     c.slot = m.slot;
     c.trace_id = st.trace_id;
-    c.value = coded ? make_chunk_value(st.proposal_full, static_cast<int>(i))
+    c.value = coded ? make_chunk_value(st.proposal_full, std::move(chunks[i]),
+                                       static_cast<int>(i))
                     : st.proposal_full;
     if (config_[i] == id_) {
-      decide(m.slot, c.value, &st.proposal_full);
+      decide(m.slot, std::move(c.value));
     } else {
-      net_.send(config_[i], c);
+      net_.send(config_[i], std::move(c));
     }
   }
 }
@@ -487,26 +503,24 @@ void Replica::on_accept_nack(const Message& m) {
   }
 }
 
-void Replica::on_chosen(const Message& m) {
+void Replica::on_chosen(Message&& m) {
   leader_ = m.from;
   last_heartbeat_ = sim_.now();
   SlotState& st = slot_state(m.slot);
   if (!st.chosen) {
     st.chosen = true;
-    st.chosen_val = m.value;
+    st.chosen_val = std::move(m.value);
     if (m.trace_id != 0) st.trace_id = m.trace_id;
     note_commit_lag(m.slot);
   }
   apply_ready();
 }
 
-void Replica::decide(Slot slot, const Value& own_value,
-                     const Value* full_value) {
+void Replica::decide(Slot slot, Value own_value) {
   SlotState& st = slot_state(slot);
   if (!st.chosen) {
     st.chosen = true;
-    st.chosen_val = own_value;
-    if (full_value) st.proposal_full = *full_value;
+    st.chosen_val = std::move(own_value);
     note_commit_lag(slot);
   }
   apply_ready();
@@ -631,7 +645,7 @@ void Replica::on_heartbeat(const Message& m) {
       req.type = MsgType::kCatchup;
       req.from = id_;
       req.slot = commit_index_;
-      net_.send(m.from, req);
+      net_.send(m.from, std::move(req));
     }
   }
 }
@@ -651,8 +665,12 @@ void Replica::on_catchup(const Message& m) {
     // Coded: chosen_val is our own chunk; re-code the requester's chunk
     // when we hold the chosen full value.
     if (full_payload(st) != nullptr) {
-      return chunk_index >= 0 ? make_chunk_value(st.proposal_full, chunk_index)
-                              : st.proposal_full;
+      if (chunk_index < 0) return st.proposal_full;
+      std::vector<Chunk> chunks = encode_fanout(st.proposal_full);
+      return make_chunk_value(
+          st.proposal_full,
+          std::move(chunks[static_cast<std::size_t>(chunk_index)]),
+          chunk_index);
     }
     // Only our own chunk survives here; better than nothing — the
     // follower can at least advance past the slot.
@@ -676,11 +694,11 @@ void Replica::on_catchup(const Message& m) {
       ++served;
       if (static_cast<int>(batch.promises.size()) >=
           opts_.plane.catchup_chunk) {
-        net_.send(m.from, batch);
+        net_.send(m.from, std::move(batch));
         batch.promises.clear();
       }
     }
-    if (!batch.promises.empty()) net_.send(m.from, batch);
+    if (!batch.promises.empty()) net_.send(m.from, std::move(batch));
     catchup_slots_served_ += served;
     if (obs::Registry* reg = obs::metrics()) {
       reg->det_histogram("paxos.catchup_slots")
@@ -698,20 +716,20 @@ void Replica::on_catchup(const Message& m) {
     c.ballot = ballot_;
     c.slot = s;
     c.value = value_for(it->second);
-    net_.send(m.from, c);
+    net_.send(m.from, std::move(c));
   }
 }
 
-void Replica::on_catchup_batch(const Message& m) {
+void Replica::on_catchup_batch(Message&& m) {
   leader_ = m.from;
   last_heartbeat_ = sim_.now();
-  for (const auto& p : m.promises) {
+  for (auto& p : m.promises) {
     SlotState& st = slot_state(p.slot);
     if (st.chosen) continue;
     st.chosen = true;
     st.chosen_val = p.value;
     st.acc.has_value = true;
-    st.acc.value = p.value;
+    st.acc.value = std::move(p.value);
     if (p.accepted.valid()) st.acc.accepted = p.accepted;
     note_commit_lag(p.slot);
   }
@@ -742,7 +760,7 @@ void Replica::maybe_grant_lease(const Message& m) {
   r.from = id_;
   r.ballot = m.ballot;
   r.stamp = m.stamp;  // echo so the leader dates the lease from the send
-  net_.send(m.from, r);
+  net_.send(m.from, std::move(r));
 }
 
 void Replica::on_lease_ack(const Message& m) {
@@ -966,20 +984,20 @@ void Replica::install_snapshot(
 
 // ---------------------------------------------------------------- dispatch
 
-void Replica::handle(const Message& m) {
+void Replica::handle(Message&& m) {
   if (!alive_) return;
   switch (m.type) {
     case MsgType::kPrepare:
       on_prepare(m);
       break;
     case MsgType::kPromise:
-      on_promise(m);
+      on_promise(std::move(m));
       break;
     case MsgType::kPrepareNack:
       on_prepare_nack(m);
       break;
     case MsgType::kAccept:
-      on_accept(m);
+      on_accept(std::move(m));
       break;
     case MsgType::kAccepted:
       on_accepted(m);
@@ -988,7 +1006,7 @@ void Replica::handle(const Message& m) {
       on_accept_nack(m);
       break;
     case MsgType::kChosen:
-      on_chosen(m);
+      on_chosen(std::move(m));
       break;
     case MsgType::kHeartbeat:
       on_heartbeat(m);
@@ -1000,7 +1018,7 @@ void Replica::handle(const Message& m) {
       on_lease_ack(m);
       break;
     case MsgType::kCatchupBatch:
-      on_catchup_batch(m);
+      on_catchup_batch(std::move(m));
       break;
   }
 }

@@ -217,18 +217,20 @@ class Replica {
   };
 
   // message handlers
-  void handle(const Message& m);
+  // A delivered message is owned by its handler: the rvalue handlers move
+  // values into acceptor/learner state instead of copying them.
+  void handle(Message&& m);
   void on_prepare(const Message& m);
-  void on_promise(const Message& m);
+  void on_promise(Message&& m);
   void on_prepare_nack(const Message& m);
-  void on_accept(const Message& m);
+  void on_accept(Message&& m);
   void on_accepted(const Message& m);
   void on_accept_nack(const Message& m);
-  void on_chosen(const Message& m);
+  void on_chosen(Message&& m);
   void on_heartbeat(const Message& m);
   void on_catchup(const Message& m);
   void on_lease_ack(const Message& m);
-  void on_catchup_batch(const Message& m);
+  void on_catchup_batch(Message&& m);
 
   /// One client op waiting on a slot: its callback and causal TraceId.
   struct PendingAck {
@@ -249,7 +251,7 @@ class Replica {
   void propose(Slot slot, Value full_value, std::vector<PendingAck> acks = {},
                std::uint64_t trace_id = 0);
   void send_accepts(Slot slot);
-  void decide(Slot slot, const Value& own_value, const Value* full_value);
+  void decide(Slot slot, Value own_value);
   void note_commit_lag(Slot slot);
   void apply_ready();
   void broadcast(Message m);
@@ -261,7 +263,15 @@ class Replica {
     return opts_.policy.quorum(static_cast<int>(config_.size()));
   }
   bool in_config(NodeId n) const;
-  Value make_chunk_value(const Value& full, int chunk_index) const;
+  /// True when `v` is replicated as RS chunks (client values under
+  /// RS-Paxos; noops and configs always travel whole).
+  bool codes(const Value& v) const;
+  /// All n Reed-Solomon chunks of `full` for the current config: one encode
+  /// per fan-out, chunk i destined for config_[i].
+  std::vector<Chunk> encode_fanout(const Value& full) const;
+  /// Wraps chunk `chunk_index` of `full`, already encoded, in a coded Value.
+  Value make_chunk_value(const Value& full, Chunk chunk,
+                         int chunk_index) const;
   std::optional<Value> reconstruct_from_chunks(
       const std::vector<Value>& chunks) const;
   std::uint64_t fresh_value_id();

@@ -2,6 +2,7 @@
 
 #include <set>
 #include <stdexcept>
+#include <utility>
 
 namespace jupiter::storage {
 
@@ -37,11 +38,11 @@ KvResponse KvResponse::decode(const std::vector<std::uint8_t>& bytes) {
   return resp;
 }
 
-KvResponse KvStoreState::handle(const KvCommand& cmd) {
+KvResponse KvStoreState::handle(KvCommand cmd) {
   KvResponse resp;
   switch (cmd.op) {
     case KvOp::kPut:
-      map_[cmd.key] = cmd.value;
+      map_[std::move(cmd.key)] = std::move(cmd.value);
       break;
     case KvOp::kGet: {
       auto it = map_.find(cmd.key);
@@ -68,7 +69,7 @@ std::optional<std::vector<std::uint8_t>> KvStoreState::read(
     const std::vector<std::uint8_t>& query) {
   KvCommand cmd = KvCommand::decode(query);
   if (cmd.op != KvOp::kGet) return std::nullopt;
-  return handle(cmd).encode();
+  return handle(std::move(cmd)).encode();
 }
 
 void KvStoreState::apply_chunk(const paxos::Value& value) {

@@ -88,7 +88,8 @@ class KvStoreState : public paxos::StateMachine {
       KvStoreState& out);
 
  private:
-  KvResponse handle(const KvCommand& cmd);
+  /// Owns the decoded command, so a put moves its bytes into the map.
+  KvResponse handle(KvCommand cmd);
 
   std::map<std::string, std::vector<std::uint8_t>> map_;
   std::map<std::uint64_t, StoredChunk> chunks_;  // value_id -> chunk

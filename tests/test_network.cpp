@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <utility>
+#include <vector>
+
 namespace jupiter::paxos {
 namespace {
 
@@ -221,6 +225,33 @@ TEST(SimNetwork, FaultHookCanDuplicateMessages) {
   EXPECT_EQ(received, 3);  // original + 2 copies
   EXPECT_EQ(net.messages_sent(), 1u);
   EXPECT_EQ(net.messages_delivered(), 3u);
+}
+
+// The last delivery takes the sent message itself; every earlier duplicate
+// must be a full copy, even when a handler moves the payload out.
+TEST(SimNetwork, DuplicatedMessagesEachCarryTheFullPayload) {
+  Simulator sim;
+  SimNetwork net(sim, 17);
+  std::vector<std::vector<std::uint8_t>> delivered;
+  net.attach(1, [&](Message&& m) {
+    delivered.push_back(std::move(m.value.payload));
+  });
+  net.set_fault_hook([](NodeId, NodeId, const Message&) {
+    SimNetwork::FaultAction act;
+    act.duplicates = 2;
+    return act;
+  });
+  Message m = ping(0);
+  m.value.payload.resize(4096);
+  for (std::size_t i = 0; i < m.value.payload.size(); ++i) {
+    m.value.payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  }
+  const std::vector<std::uint8_t> sent = m.value.payload;
+  net.send(1, std::move(m));
+  sim.run_until(SimTime(50));
+  ASSERT_EQ(delivered.size(), 3u);
+  for (const auto& payload : delivered) EXPECT_EQ(payload, sent);
+  EXPECT_EQ(net.value_bytes_sent(), 3u * 4096u);
 }
 
 TEST(SimNetwork, FaultHookExtraLatencyDelaysDelivery) {

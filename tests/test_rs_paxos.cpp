@@ -2,6 +2,7 @@
 
 #include <map>
 
+#include "obs/obs.hpp"
 #include "paxos/group.hpp"
 #include "paxos/harness.hpp"
 #include "storage/kv_store.hpp"
@@ -133,6 +134,26 @@ TEST_F(RsPaxosFixture, AnyThreeChunkLogsReconstructTheStore) {
   auto v = recovered.get("b");
   ASSERT_TRUE(v.has_value());
   EXPECT_EQ(std::string(v->begin(), v->end()), "bravo");
+}
+
+// The leader Reed-Solomon encodes a coded slot once for its accept fan-out
+// and once for its chosen fan-out; per-destination re-encoding would cost n
+// encodes per fan-out (10 per slot at theta(3,5)).
+TEST_F(RsPaxosFixture, OneEncodePerFanOut) {
+  obs::Registry reg;
+  obs::ObsContext ctx{&reg, nullptr, nullptr};
+  obs::ContextScope scope(&ctx);
+  bootstrap();
+  ASSERT_GE(wait_for_leader(), 0);
+  obs::DetHistogram& encodes = reg.det_histogram("ec.encode_bytes");
+  const std::uint64_t before = encodes.count();
+  constexpr int kPuts = 8;  // one coded slot each: batching is off
+  for (int i = 0; i < kPuts; ++i) {
+    ASSERT_TRUE(put("k" + std::to_string(i), std::string(4096, 'a')));
+  }
+  const std::uint64_t coded_encodes = encodes.count() - before;
+  EXPECT_GE(coded_encodes, static_cast<std::uint64_t>(kPuts));
+  EXPECT_LE(coded_encodes, 2u * kPuts);
 }
 
 // The data plane coalesces puts into kBatch slots; each follower's chunk
