@@ -99,51 +99,32 @@ BidCurve::BidCurve(const SemiMarkovChain* chain, int state, int age,
       fp_prime_(fp_prime),
       estimator_(estimator),
       stats_(std::move(cache)),
-      memo_(std::move(memo)) {
-  if (!memo_) {
-    cache_.assign(static_cast<std::size_t>(chain->state_count()), 0.0);
-    known_.assign(static_cast<std::size_t>(chain->state_count()), 0);
-    if (estimator_ == OobEstimator::kOccupancy) {
-      // Occupancy exceedance comes from a single forward pass; fill eagerly.
-      cache_ = chain_->exceed_curve(state_, age_, horizon_);
-      std::fill(known_.begin(), known_.end(), 1);
-    }
-  }
-}
+      memo_(std::move(memo)) {}
 
 double BidCurve::occupancy_oob(int i) const {
-  auto idx = static_cast<std::size_t>(i);
-  if (!memo_) return cache_[idx];  // filled eagerly in the constructor
   std::lock_guard<std::mutex> lk(memo_->mu);
   if (!memo_->exceed_filled) {
     memo_->exceed = chain_->exceed_curve(state_, age_, horizon_);
     memo_->exceed_filled = true;
-    if (stats_) stats_->count_miss();
-  } else if (stats_) {
+    stats_->count_miss();
+  } else {
     stats_->count_hit();
   }
-  return memo_->exceed[idx];
+  return memo_->exceed[static_cast<std::size_t>(i)];
 }
 
 double BidCurve::oob_at_index(int i) const {
   if (estimator_ == OobEstimator::kOccupancy) return occupancy_oob(i);
   auto idx = static_cast<std::size_t>(i);
-  if (memo_) {
-    std::lock_guard<std::mutex> lk(memo_->mu);
-    if (!memo_->hit_known[idx]) {
-      memo_->hit[idx] = chain_->hit_one(state_, age_, horizon_, i);
-      memo_->hit_known[idx] = 1;
-      if (stats_) stats_->count_miss();
-    } else if (stats_) {
-      stats_->count_hit();
-    }
-    return memo_->hit[idx];
+  std::lock_guard<std::mutex> lk(memo_->mu);
+  if (!memo_->hit_known[idx]) {
+    memo_->hit[idx] = chain_->hit_one(state_, age_, horizon_, i);
+    memo_->hit_known[idx] = 1;
+    stats_->count_miss();
+  } else {
+    stats_->count_hit();
   }
-  if (!known_[idx]) {
-    cache_[idx] = chain_->hit_one(state_, age_, horizon_, i);
-    known_[idx] = 1;
-  }
-  return cache_[idx];
+  return memo_->hit[idx];
 }
 
 void BidCurve::prime_all() const {
@@ -151,36 +132,26 @@ void BidCurve::prime_all() const {
     occupancy_oob(0);  // one forward pass fills the whole curve
     return;
   }
-  if (memo_) {
-    std::lock_guard<std::mutex> lk(memo_->mu);
-    bool all = true;
-    for (char k : memo_->hit_known) {
-      if (!k) {
-        all = false;
-        break;
-      }
+  std::lock_guard<std::mutex> lk(memo_->mu);
+  bool all = true;
+  for (char k : memo_->hit_known) {
+    if (!k) {
+      all = false;
+      break;
     }
-    if (all) {
-      if (stats_) stats_->count_hit();
-      return;
-    }
-    std::vector<double> curve = chain_->hit_curve(state_, age_, horizon_);
-    for (std::size_t i = 0; i < curve.size(); ++i) {
-      if (!memo_->hit_known[i]) {
-        memo_->hit[i] = curve[i];
-        memo_->hit_known[i] = 1;
-      }
-    }
-    if (stats_) stats_->count_miss();
+  }
+  if (all) {
+    stats_->count_hit();
     return;
   }
   std::vector<double> curve = chain_->hit_curve(state_, age_, horizon_);
   for (std::size_t i = 0; i < curve.size(); ++i) {
-    if (!known_[i]) {
-      cache_[i] = curve[i];
-      known_[i] = 1;
+    if (!memo_->hit_known[i]) {
+      memo_->hit[i] = curve[i];
+      memo_->hit_known[i] = 1;
     }
   }
+  stats_->count_miss();
 }
 
 double BidCurve::fp_at(PriceTick bid) const {

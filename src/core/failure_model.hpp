@@ -59,9 +59,8 @@ class BidCurve {
  public:
   BidCurve(const SemiMarkovChain* chain, int state, int age, int horizon,
            PriceTick current_price, PriceTick on_demand, double fp_prime,
-           OobEstimator estimator,
-           std::shared_ptr<TransientCache> cache = nullptr,
-           std::shared_ptr<TransientCache::Entry> memo = nullptr);
+           OobEstimator estimator, std::shared_ptr<TransientCache> cache,
+           std::shared_ptr<TransientCache::Entry> memo);
 
   PriceTick current_price() const { return current_price_; }
   PriceTick on_demand() const { return on_demand_; }
@@ -95,12 +94,10 @@ class BidCurve {
   PriceTick on_demand_;
   double fp_prime_;
   OobEstimator estimator_;
-  // Shared memo (per model-zone, keyed by state/age/horizon); when null the
-  // curve falls back to instance-local storage below.
+  // The model's cache (hit/miss counters) and this curve's shared memo in
+  // it, keyed by (state, clamped age, horizon).
   std::shared_ptr<TransientCache> stats_;
   std::shared_ptr<TransientCache::Entry> memo_;
-  mutable std::vector<double> cache_;
-  mutable std::vector<char> known_;
 };
 
 class ZoneFailureModel {

@@ -11,8 +11,9 @@
 //
 // Entries are filled lazily under a per-entry mutex (the parallel sweep and
 // the parallel exhaustive search may evaluate curves from worker threads).
-// Hit/miss counters are cumulative for the life of the cache and are what
-// bench_perf_sweep reports into BENCH_failure_model.json.
+// Hit/miss counters are cumulative for the life of the cache; the
+// strategy publishes them as the core.cache_hits / core.cache_misses /
+// core.cache_hit_rate gauges.
 #pragma once
 
 #include <atomic>

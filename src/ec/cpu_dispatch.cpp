@@ -1,12 +1,10 @@
 #include "ec/cpu_dispatch.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <stdexcept>
 #include <string>
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__) && \
-    !defined(JUPITER_EC_PORTABLE)
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define JUPITER_EC_HAVE_X86_TIERS 1
 #endif
 
@@ -29,34 +27,6 @@ bool cpu_has_avx2() {
 #else
   return false;
 #endif
-}
-
-GfTier best_tier() {
-#ifdef JUPITER_EC_PORTABLE
-  // The portable build pins the default to the reference tier; swar stays
-  // selectable via JUPITER_EC_TIER / gf_set_active_tier for comparison runs.
-  return GfTier::kScalar;
-#else
-  GfTier best = GfTier::kSwar;
-  if (cpu_has_ssse3()) best = GfTier::kSsse3;
-  if (cpu_has_avx2()) best = GfTier::kAvx2;
-  return best;
-#endif
-}
-
-GfTier detect_tier() {
-  const char* env = std::getenv("JUPITER_EC_TIER");
-  if (env != nullptr) {
-    const std::string v(env);
-    GfTier want = best_tier();
-    if (v == "scalar") want = GfTier::kScalar;
-    else if (v == "swar") want = GfTier::kSwar;
-    else if (v == "ssse3") want = GfTier::kSsse3;
-    else if (v == "avx2") want = GfTier::kAvx2;
-    // "auto", unknown strings, and unsupported requests fall back to best.
-    if (gf_tier_supported(want)) return want;
-  }
-  return best_tier();
 }
 
 std::atomic<int>& active_slot() {
@@ -96,7 +66,8 @@ bool gf_tier_supported(GfTier t) {
 GfTier gf_active_tier() {
   int t = active_slot().load(std::memory_order_acquire);
   if (t < 0) {
-    int detected = static_cast<int>(detect_tier());
+    // The fastest supported tier (the list ascends by speed).
+    int detected = static_cast<int>(gf_supported_tiers().back());
     int expected = -1;
     active_slot().compare_exchange_strong(expected, detected,
                                           std::memory_order_acq_rel);

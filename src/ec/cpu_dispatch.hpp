@@ -10,13 +10,13 @@
 //   kSsse3   16 bytes per step via pshufb low/high-nibble table lookups.
 //   kAvx2    32 bytes per step via vpshufb on broadcast nibble tables.
 //
-// The active tier is chosen once, at first use, from (a) what this build
-// compiled in (the JUPITER_EC_PORTABLE CMake option strips the x86 tiers
-// and pins the default to scalar), (b) what the CPU reports via CPUID, and
-// (c) an optional JUPITER_EC_TIER environment override
-// (scalar|swar|ssse3|avx2|auto) used by the forced-scalar ctest entries.
-// Every tier computes exact GF(256) arithmetic, so outputs are bit-identical
-// regardless of which tier dispatch lands on — the property tests assert it.
+// The active tier is chosen once, at first use: the fastest tier that this
+// build compiled in (the x86 tiers exist only on x86 targets) and the CPU
+// reports via CPUID.  Tests and benchmarks switch tiers in-process with
+// gf_set_active_tier / GfTierOverride.  Every tier computes exact GF(256)
+// arithmetic, so outputs are bit-identical regardless of which tier
+// dispatch lands on — the property tests run every supported tier and
+// assert it.
 #pragma once
 
 #include <vector>

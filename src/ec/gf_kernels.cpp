@@ -7,8 +7,7 @@
 
 #include "ec/gf256.hpp"
 
-#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__) && \
-    !defined(JUPITER_EC_PORTABLE)
+#if (defined(__x86_64__) || defined(__i386__)) && defined(__GNUC__)
 #define JUPITER_EC_HAVE_X86_TIERS 1
 #include <immintrin.h>
 #endif

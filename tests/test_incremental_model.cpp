@@ -3,12 +3,14 @@
 // The contract under test is exactness: extend() must produce a chain
 // bit-identical to retraining from scratch on the concatenated history, the
 // batched hit_curve() must match per-threshold hit_one() to 1e-12, and a
-// cached BidCurve must answer exactly like a cache-less one — so switching
-// the replay to the warm path cannot change a single decision.
+// BidCurve served from a warm shared cache must answer exactly like one on a
+// cold cache of its own — so switching the replay to the warm path cannot
+// change a single decision.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 
 #include "core/failure_model.hpp"
 #include "core/strategies.hpp"
@@ -170,17 +172,27 @@ TEST(IncrementalModel, HitProbabilityMatchesResolvedThreshold) {
   }
 }
 
+/// A curve on the chain with a cold cache of its own, shared with nothing.
+BidCurve fresh_curve(const SemiMarkovChain& chain, const MarketZoneState& st,
+                     int horizon, PriceTick on_demand, OobEstimator est) {
+  int state = chain.nearest_state(st.price);
+  auto cache = std::make_shared<TransientCache>();
+  auto memo = cache->entry(state, chain.clamped_age(state, st.age_minutes),
+                           horizon, chain.state_count());
+  return BidCurve(&chain, state, st.age_minutes, horizon, st.price, on_demand,
+                  kOnDemandFailureProbability, est, std::move(cache),
+                  std::move(memo));
+}
+
 TEST(IncrementalModel, CachedBidCurveMatchesFreshAndCountsHits) {
   SpotTrace tr = synthetic_trace(SimTime(0), SimTime(2 * kWeek), 57);
   for (OobEstimator est :
        {OobEstimator::kFirstPassage, OobEstimator::kOccupancy}) {
     ZoneFailureModel model(SemiMarkovChain::estimate(tr), PriceTick(200),
                            kOnDemandFailureProbability, est);
-    // Cache-less reference: a curve built directly on the chain.
+    // Reference: a curve on the same chain that shares no cache.
     MarketZoneState st{0, PriceTick(55), 12, PriceTick(200)};
-    int state = model.chain().nearest_state(st.price);
-    BidCurve fresh(&model.chain(), state, st.age_minutes, 90, st.price,
-                   PriceTick(200), kOnDemandFailureProbability, est);
+    BidCurve fresh = fresh_curve(model.chain(), st, 90, PriceTick(200), est);
 
     BidCurve cached = model.bid_curve(st, 90);
     BidCurve cached2 = model.bid_curve(st, 90);  // same key, same entry
@@ -205,9 +217,8 @@ TEST(IncrementalModel, CachedBidCurveMatchesFreshAndCountsHits) {
     SpotTrace longer = synthetic_trace(SimTime(0), SimTime(3 * kWeek), 57);
     EXPECT_TRUE(model.extend(longer, SimTime(2 * kWeek), SimTime(3 * kWeek)));
     BidCurve after = model.bid_curve(st, 90);
-    BidCurve refreshed(&model.chain(), model.chain().nearest_state(st.price),
-                       st.age_minutes, 90, st.price, PriceTick(200),
-                       kOnDemandFailureProbability, est);
+    BidCurve refreshed =
+        fresh_curve(model.chain(), st, 90, PriceTick(200), est);
     for (int i = 0; i < model.chain().state_count(); ++i) {
       EXPECT_EQ(after.oob_at_index(i), refreshed.oob_at_index(i)) << "i=" << i;
     }

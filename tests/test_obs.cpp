@@ -237,7 +237,10 @@ TEST(ObsContextTest, WallHistogramIsVolatile) {
 struct InstrumentedRun {
   std::string metrics_json;
   std::string trace_json;
+  std::vector<std::string> recorder_lines;
   ReplayResult result;
+  MetricsSnapshot metrics;
+  TransientCache::Stats cache_stats;
 };
 
 InstrumentedRun instrumented_replay() {
@@ -245,11 +248,14 @@ InstrumentedRun instrumented_replay() {
       make_scenario(InstanceKind::kM1Small, /*train_weeks=*/2,
                     /*replay_weeks=*/1, /*seed=*/77);
   ServiceSpec spec = ServiceSpec::lock_service();
+  // The full stack: metrics registry, trace sink and flight recorder.
   Registry reg;
   obs::MemoryTraceSink trace;
+  obs::FlightRecorder recorder(512);
   obs::ObsContext ctx;
   ctx.metrics = &reg;
   ctx.trace = &trace;
+  ctx.recorder = &recorder;
   obs::ContextScope scope(&ctx);
   JupiterStrategy strategy(sc.book, spec, sc.history_start,
                            {.horizon_minutes = 60, .max_nodes = 9});
@@ -258,6 +264,9 @@ InstrumentedRun instrumented_replay() {
   out.result = replay_strategy(sc.book, strategy, cfg);
   out.metrics_json = reg.to_json();
   out.trace_json = trace.chrome_json();
+  out.recorder_lines = recorder.render();
+  out.metrics = reg.snapshot();
+  out.cache_stats = strategy.cache_stats();
   return out;
 }
 
@@ -267,10 +276,12 @@ TEST(ObsDeterminismTest, SameSeedRunsAreByteIdentical) {
   EXPECT_EQ(a.result.cost.micros(), b.result.cost.micros());
   EXPECT_EQ(a.metrics_json, b.metrics_json);
   EXPECT_EQ(a.trace_json, b.trace_json);
+  EXPECT_EQ(a.recorder_lines, b.recorder_lines);
   // And the instrumentation actually fired.
   EXPECT_NE(a.metrics_json.find("core.decisions"), std::string::npos);
   EXPECT_NE(a.metrics_json.find("replay.intervals"), std::string::npos);
   EXPECT_NE(a.trace_json.find("bid_decision"), std::string::npos);
+  EXPECT_FALSE(a.recorder_lines.empty());
 }
 
 TEST(ObsDeterminismTest, InstrumentationDoesNotPerturbDecisions) {
@@ -289,7 +300,13 @@ TEST(ObsDeterminismTest, InstrumentationDoesNotPerturbDecisions) {
   EXPECT_EQ(bare.cost.micros(), instr.result.cost.micros());
   EXPECT_EQ(bare.downtime, instr.result.downtime);
   EXPECT_EQ(bare.decisions, instr.result.decisions);
+  EXPECT_EQ(bare.out_of_bid_events, instr.result.out_of_bid_events);
   EXPECT_EQ(bare.instances_launched, instr.result.instances_launched);
+  // The registry's view of the transient cache agrees with the accessor.
+  EXPECT_EQ(instr.metrics.gauge("core.cache_hits"),
+            static_cast<double>(instr.cache_stats.hits));
+  EXPECT_EQ(instr.metrics.gauge("core.cache_misses"),
+            static_cast<double>(instr.cache_stats.misses));
 }
 
 }  // namespace

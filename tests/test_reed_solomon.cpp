@@ -219,30 +219,34 @@ struct RsCase {
 
 class RsSweep : public ::testing::TestWithParam<RsCase> {};
 
-// Property sweep: random erasures of n-m chunks always reconstruct.
+// Property sweep: random erasures of n-m chunks always reconstruct, on
+// every dispatch tier.
 TEST_P(RsSweep, RandomErasuresReconstruct) {
   auto [m, n, size] = GetParam();
   ReedSolomon rs(m, n);
-  Rng rng(static_cast<std::uint64_t>(m * 131 + n * 17 + size));
-  auto data = random_data(size, rng);
-  auto chunks = rs.encode(data);
-  for (int trial = 0; trial < 10; ++trial) {
-    // Pick a random m-subset of surviving chunks.
-    std::vector<int> alive;
-    for (int i = 0; i < n; ++i) alive.push_back(i);
-    for (int i = n - 1; i > 0; --i) {
-      std::swap(alive[static_cast<std::size_t>(i)],
-                alive[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+  for (GfTier tier : gf_supported_tiers()) {
+    GfTierOverride ov(tier);
+    Rng rng(static_cast<std::uint64_t>(m * 131 + n * 17 + size));
+    auto data = random_data(size, rng);
+    auto chunks = rs.encode(data);
+    for (int trial = 0; trial < 10; ++trial) {
+      // Pick a random m-subset of surviving chunks.
+      std::vector<int> alive;
+      for (int i = 0; i < n; ++i) alive.push_back(i);
+      for (int i = n - 1; i > 0; --i) {
+        std::swap(alive[static_cast<std::size_t>(i)],
+                  alive[rng.below(static_cast<std::uint64_t>(i) + 1)]);
+      }
+      std::vector<std::pair<int, Chunk>> have;
+      for (int i = 0; i < m; ++i) {
+        have.emplace_back(alive[static_cast<std::size_t>(i)],
+                          chunks[static_cast<std::size_t>(
+                              alive[static_cast<std::size_t>(i)])]);
+      }
+      auto out = rs.decode(have, data.size());
+      ASSERT_TRUE(out.has_value()) << "tier " << gf_tier_name(tier);
+      EXPECT_EQ(*out, data) << "tier " << gf_tier_name(tier);
     }
-    std::vector<std::pair<int, Chunk>> have;
-    for (int i = 0; i < m; ++i) {
-      have.emplace_back(alive[static_cast<std::size_t>(i)],
-                        chunks[static_cast<std::size_t>(
-                            alive[static_cast<std::size_t>(i)])]);
-    }
-    auto out = rs.decode(have, data.size());
-    ASSERT_TRUE(out.has_value());
-    EXPECT_EQ(*out, data);
   }
 }
 
