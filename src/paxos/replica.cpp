@@ -1,6 +1,8 @@
 #include "paxos/replica.hpp"
 
 #include <algorithm>
+#include <iterator>
+#include <utility>
 
 #include "obs/obs.hpp"
 #include "util/log.hpp"
@@ -143,11 +145,11 @@ std::uint64_t Replica::fresh_value_id() {
 const std::vector<std::uint8_t>* Replica::full_payload(
     const SlotState& st) const {
   const Value& v = st.chosen_val;
-  if (!v.coded) return &v.payload;
+  if (!v.coded) return &v.payload.vec();
   // proposal_full is only ever a full value; its value_id says whether it
   // is the one chosen here or a proposal that lost the slot.
   if (!st.proposal_full.coded && st.proposal_full.value_id == v.value_id) {
-    return &st.proposal_full.payload;
+    return &st.proposal_full.payload.vec();
   }
   return nullptr;
 }
@@ -270,7 +272,8 @@ void Replica::become_leader() {
 
   // RS-Paxos state rebuild: slots we applied as chunks are reconstructed
   // from the promise payloads and replayed into the state machine in slot
-  // order, materializing the full store at the new leader.
+  // order, materializing the full store at the new leader.  A slot applied
+  // as a chunk counted as one command; its replay counts each op instead.
   if (opts_.policy.coded()) {
     for (auto& [slot, vs] : seen) {
       if (slot >= commit_index_) break;
@@ -286,8 +289,9 @@ void Replica::become_leader() {
         }
       }
       if (auto full = reconstruct_from_chunks(chunks)) {
-        sm_.apply(full->payload);
-        st.proposal_full = *full;
+        --applied_commands_;
+        apply_full(full->kind, full->payload);
+        st.proposal_full = std::move(*full);
         st.applied_chunk_only = false;
       }
     }
@@ -358,12 +362,15 @@ bool Replica::codes(const Value& v) const {
          (v.kind == ValueKind::kCommand || v.kind == ValueKind::kBatch);
 }
 
-std::vector<Chunk> Replica::encode_fanout(const Value& full) const {
+std::vector<SharedBytes> Replica::encode_fanout(const Value& full) const {
   const int n = static_cast<int>(config_.size());
-  return ReedSolomon::shared(opts_.policy.rs_m, n).encode(full.payload);
+  std::vector<Chunk> chunks =
+      ReedSolomon::shared(opts_.policy.rs_m, n).encode(full.payload);
+  return {std::make_move_iterator(chunks.begin()),
+          std::make_move_iterator(chunks.end())};
 }
 
-Value Replica::make_chunk_value(const Value& full, Chunk chunk,
+Value Replica::make_chunk_value(const Value& full, SharedBytes chunk,
                                 int chunk_index) const {
   Value v;
   v.kind = full.kind;
@@ -401,6 +408,7 @@ void Replica::propose(Slot slot, Value full_value,
   SlotState& st = slot_state(slot);
   st.proposing = true;
   st.proposal_full = std::move(full_value);
+  st.chunks.clear();
   st.accepted_from.clear();
   if (trace_id != 0) st.trace_id = trace_id;
   if (!acks.empty()) {
@@ -413,8 +421,10 @@ void Replica::propose(Slot slot, Value full_value,
 void Replica::send_accepts(Slot slot) {
   SlotState& st = slot_state(slot);
   const bool code_it = codes(st.proposal_full);
-  std::vector<Chunk> chunks;
-  if (code_it) chunks = encode_fanout(st.proposal_full);
+  // Retries resend the kept chunks; a config of another size re-encodes.
+  if (code_it && st.chunks.size() != config_.size()) {
+    st.chunks = encode_fanout(st.proposal_full);
+  }
   for (std::size_t i = 0; i < config_.size(); ++i) {
     Message m;
     m.type = MsgType::kAccept;
@@ -422,8 +432,7 @@ void Replica::send_accepts(Slot slot) {
     m.ballot = ballot_;
     m.slot = slot;
     m.trace_id = st.trace_id;
-    m.value = code_it ? make_chunk_value(st.proposal_full,
-                                         std::move(chunks[i]),
+    m.value = code_it ? make_chunk_value(st.proposal_full, st.chunks[i],
                                          static_cast<int>(i))
                       : st.proposal_full;
     net_.send(config_[i], std::move(m));
@@ -469,13 +478,15 @@ void Replica::on_accepted(const Message& m) {
   if (static_cast<int>(st.accepted_from.size()) < quorum()) return;
 
   // Decided.  Tell everyone; RS-Paxos followers get their chunk again so a
-  // node that missed the accept still ends up holding its share.
+  // node that missed the accept still ends up holding its share.  The
+  // fan-out takes the accept round's chunks out of the slot, so each
+  // replica learns the very buffer it accepted.
   const bool coded = codes(st.proposal_full);
-  std::vector<Chunk> chunks;
+  std::vector<SharedBytes> chunks = std::exchange(st.chunks, {});
   for (std::size_t i = 0; i < config_.size(); ++i) {
-    // One encode serves the whole fan-out.  The leader's own decide() may
-    // apply a later, already-chosen kConfig slot and resize config_ mid-loop;
-    // the remaining destinations then get chunks coded for the new n.
+    // The chunks are re-encoded only for a config of another size: one
+    // that changed since the accept round, or one the leader's own decide()
+    // installs mid-loop by applying a later, already-chosen kConfig slot.
     if (coded && chunks.size() != config_.size()) {
       chunks = encode_fanout(st.proposal_full);
     }
@@ -485,7 +496,7 @@ void Replica::on_accepted(const Message& m) {
     c.ballot = ballot_;
     c.slot = m.slot;
     c.trace_id = st.trace_id;
-    c.value = coded ? make_chunk_value(st.proposal_full, std::move(chunks[i]),
+    c.value = coded ? make_chunk_value(st.proposal_full, chunks[i],
                                        static_cast<int>(i))
                     : st.proposal_full;
     if (config_[i] == id_) {
@@ -548,6 +559,9 @@ void Replica::apply_ready() {
     SlotState& st = it->second;
     if (!st.applied) {
       st.applied = true;
+      // A proposal that lost the slot to another leader's value leaves its
+      // chunks behind; nothing sends them any more.
+      st.chunks.clear();
       const Value& v = st.chosen_val;
       // Per-op responses, index-aligned with the slot's ack list.
       std::vector<std::vector<std::uint8_t>> responses;
@@ -561,18 +575,8 @@ void Replica::apply_ready() {
             sm_.apply_chunk(v);
             st.applied_chunk_only = true;
             ++applied_commands_;  // per-slot; op count needs the full value
-          } else if (v.kind == ValueKind::kCommand) {
-            responses.push_back(sm_.apply(*bytes));
-            ++applied_commands_;
           } else {
-            // Decode and apply each sub-op in order: a batch replays
-            // identically on every replica (one log entry, many commands).
-            auto ops = decode_batch(*bytes);
-            responses.reserve(ops.size());
-            for (const auto& op : ops) {
-              responses.push_back(sm_.apply(op));
-              ++applied_commands_;
-            }
+            responses = apply_full(v.kind, *bytes);
           }
           break;
         }
@@ -630,6 +634,25 @@ void Replica::apply_ready() {
   if (leader_ == id_ && alive_ && !batch_queue_.empty()) arm_flush();
 }
 
+std::vector<std::vector<std::uint8_t>> Replica::apply_full(
+    ValueKind kind, const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::vector<std::uint8_t>> responses;
+  if (kind == ValueKind::kCommand) {
+    responses.push_back(sm_.apply(bytes));
+    ++applied_commands_;
+    return responses;
+  }
+  // Decode and apply each sub-op in order: a batch replays identically on
+  // every replica (one log entry, many commands).
+  auto ops = decode_batch(bytes);
+  responses.reserve(ops.size());
+  for (const auto& op : ops) {
+    responses.push_back(sm_.apply(op));
+    ++applied_commands_;
+  }
+  return responses;
+}
+
 // ---------------------------------------------------------------- liveness
 
 void Replica::on_heartbeat(const Message& m) {
@@ -666,7 +689,7 @@ void Replica::on_catchup(const Message& m) {
     // when we hold the chosen full value.
     if (full_payload(st) != nullptr) {
       if (chunk_index < 0) return st.proposal_full;
-      std::vector<Chunk> chunks = encode_fanout(st.proposal_full);
+      std::vector<SharedBytes> chunks = encode_fanout(st.proposal_full);
       return make_chunk_value(
           st.proposal_full,
           std::move(chunks[static_cast<std::size_t>(chunk_index)]),

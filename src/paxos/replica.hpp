@@ -204,6 +204,10 @@ class Replica {
     std::vector<NodeId> accepted_from;
     bool proposing = false;
     Value proposal_full;          // full value being proposed (leader)
+    // RS chunks of proposal_full from the accept round, chunk i for
+    // config_[i].  Retries and the kChosen fan-out send these same buffers;
+    // propose() drops them and the kChosen fan-out takes them.
+    std::vector<SharedBytes> chunks;
     // value_id of the client value whose acks wait on this slot (0: none).
     // The acks report success only if this exact value is chosen here — a
     // competing leader's value winning the slot means the client's ops did
@@ -254,6 +258,10 @@ class Replica {
   void decide(Slot slot, Value own_value);
   void note_commit_lag(Slot slot);
   void apply_ready();
+  /// Applies the full bytes of a kCommand or kBatch value to the state
+  /// machine, op by op, and returns one response per op.
+  std::vector<std::vector<std::uint8_t>> apply_full(
+      ValueKind kind, const std::vector<std::uint8_t>& bytes);
   void broadcast(Message m);
   void arm_failure_detector();
   void arm_heartbeat();
@@ -268,9 +276,9 @@ class Replica {
   bool codes(const Value& v) const;
   /// All n Reed-Solomon chunks of `full` for the current config: one encode
   /// per fan-out, chunk i destined for config_[i].
-  std::vector<Chunk> encode_fanout(const Value& full) const;
+  std::vector<SharedBytes> encode_fanout(const Value& full) const;
   /// Wraps chunk `chunk_index` of `full`, already encoded, in a coded Value.
-  Value make_chunk_value(const Value& full, Chunk chunk,
+  Value make_chunk_value(const Value& full, SharedBytes chunk,
                          int chunk_index) const;
   std::optional<Value> reconstruct_from_chunks(
       const std::vector<Value>& chunks) const;

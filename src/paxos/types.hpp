@@ -6,12 +6,17 @@
 // sends each acceptor only its Reed-Solomon chunk, identified by a
 // (proposal) value_id so chunks of the same proposal can be matched and
 // reconstructed during recovery.
+//
+// Payloads are immutable SharedBytes: every holder of a value (messages,
+// acceptor and learner state, a follower's chunk log) shares one buffer.
 #pragma once
 
 #include <compare>
 #include <cstdint>
 #include <string>
 #include <vector>
+
+#include "util/bytes.hpp"
 
 namespace jupiter::paxos {
 
@@ -45,7 +50,7 @@ enum class ValueKind : std::uint8_t {
 struct Value {
   ValueKind kind = ValueKind::kNoop;
   std::uint64_t value_id = 0;
-  std::vector<std::uint8_t> payload;  // full command bytes, or this node's chunk
+  SharedBytes payload;                // full command bytes, or this node's chunk
   bool coded = false;
   int chunk_index = -1;               // which chunk `payload` is (coded only)
   std::uint32_t full_size = 0;        // original command size (coded only)

@@ -56,7 +56,9 @@ struct StoredChunk {
   int chunk_index = -1;
   int rs_n = 0;
   std::uint32_t full_size = 0;
-  std::vector<std::uint8_t> bytes;
+  /// The chosen value's payload itself, shared with the replica's log: the
+  /// chunk log adds no bytes of its own.
+  SharedBytes bytes;
 };
 
 class KvStoreState : public paxos::StateMachine {

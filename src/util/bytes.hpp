@@ -1,15 +1,53 @@
-// Tiny byte-buffer writer/reader for command serialization.  Fixed-width
-// little-endian integers and length-prefixed strings; deterministic across
-// platforms, which replicated state machines require.
+// Byte buffers.  ByteWriter/ByteReader serialize commands: fixed-width
+// little-endian integers and length-prefixed strings, deterministic across
+// platforms, which replicated state machines require.  SharedBytes is the
+// immutable, shared buffer that Paxos values travel in.
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <stdexcept>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 namespace jupiter {
+
+/// Immutable, reference-counted bytes.  A copy shares the one allocation,
+/// so a value held by a message in flight, an acceptor, a learner and a
+/// chunk log costs its bytes once.  Equality compares content, not
+/// identity.  An empty buffer allocates nothing.  Readers take it as the
+/// `const std::vector<std::uint8_t>&` it converts to.
+class SharedBytes {
+ public:
+  SharedBytes() = default;
+  /// Takes ownership of `bytes` without copying them.  Implicit, so a
+  /// freshly built vector assigns straight into a value's payload.
+  SharedBytes(std::vector<std::uint8_t> bytes)  // NOLINT(google-explicit-constructor)
+      : buf_(bytes.empty() ? nullptr
+                           : std::make_shared<const std::vector<std::uint8_t>>(
+                                 std::move(bytes))) {}
+
+  const std::vector<std::uint8_t>& vec() const {
+    return buf_ ? *buf_ : kNoBytes;
+  }
+  operator const std::vector<std::uint8_t>&() const { return vec(); }
+
+  std::size_t size() const { return buf_ ? buf_->size() : 0; }
+  bool empty() const { return size() == 0; }
+  /// Start of the shared allocation; nullptr when empty.  Two buffers with
+  /// the same non-null data() share storage.
+  const std::uint8_t* data() const { return buf_ ? buf_->data() : nullptr; }
+
+  friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
+    return a.buf_ == b.buf_ || a.vec() == b.vec();
+  }
+
+ private:
+  inline static const std::vector<std::uint8_t> kNoBytes{};
+  std::shared_ptr<const std::vector<std::uint8_t>> buf_;
+};
 
 class ByteWriter {
  public:

@@ -87,6 +87,8 @@ TEST(KvStoreState, ChunkLogAccumulates) {
   EXPECT_EQ(c.chunk_index, 2);
   EXPECT_EQ(c.rs_n, 5);
   EXPECT_EQ(c.full_size, 30u);
+  // The log keeps a reference to the value's buffer, not a copy.
+  EXPECT_EQ(c.bytes.data(), v.payload.data());
 }
 
 TEST(KvStoreState, ReconstructFromChunkLogs) {

@@ -79,9 +79,9 @@ TEST(SimNetwork, ValueBytesAccounting) {
   SimNetwork net(sim, 5);
   net.attach(1, [](const Message&) {});
   Message m = ping(0);
-  m.value.payload.assign(100, 0xFF);
+  m.value.payload = std::vector<std::uint8_t>(100, 0xFF);
   PromiseInfo p;
-  p.value.payload.assign(23, 0x01);
+  p.value.payload = std::vector<std::uint8_t>(23, 0x01);
   m.promises.push_back(p);
   net.send(1, m);
   EXPECT_EQ(net.value_bytes_sent(), 123u);
@@ -228,29 +228,30 @@ TEST(SimNetwork, FaultHookCanDuplicateMessages) {
 }
 
 // The last delivery takes the sent message itself; every earlier duplicate
-// must be a full copy, even when a handler moves the payload out.
+// must carry the full payload, even when a handler moves its payload out.
 TEST(SimNetwork, DuplicatedMessagesEachCarryTheFullPayload) {
   Simulator sim;
   SimNetwork net(sim, 17);
-  std::vector<std::vector<std::uint8_t>> delivered;
+  std::vector<SharedBytes> delivered;
   net.attach(1, [&](Message&& m) {
     delivered.push_back(std::move(m.value.payload));
+    EXPECT_TRUE(m.value.payload.empty());
   });
   net.set_fault_hook([](NodeId, NodeId, const Message&) {
     SimNetwork::FaultAction act;
     act.duplicates = 2;
     return act;
   });
-  Message m = ping(0);
-  m.value.payload.resize(4096);
-  for (std::size_t i = 0; i < m.value.payload.size(); ++i) {
-    m.value.payload[i] = static_cast<std::uint8_t>(i * 31 + 7);
+  std::vector<std::uint8_t> sent(4096);
+  for (std::size_t i = 0; i < sent.size(); ++i) {
+    sent[i] = static_cast<std::uint8_t>(i * 31 + 7);
   }
-  const std::vector<std::uint8_t> sent = m.value.payload;
+  Message m = ping(0);
+  m.value.payload = sent;
   net.send(1, std::move(m));
   sim.run_until(SimTime(50));
   ASSERT_EQ(delivered.size(), 3u);
-  for (const auto& payload : delivered) EXPECT_EQ(payload, sent);
+  for (const auto& payload : delivered) EXPECT_EQ(payload.vec(), sent);
   EXPECT_EQ(net.value_bytes_sent(), 3u * 4096u);
 }
 

@@ -286,6 +286,28 @@ TEST_F(PaxosFixture, ValueBytesTravelOnce) {
   EXPECT_LT(sent, 12000u);
 }
 
+// Classic Paxos replicates the full value: the leader's accept and chosen
+// fan-outs share its proposal, so every replica holds the one buffer.
+TEST_F(PaxosFixture, ChosenPayloadIsOneBufferOnEveryReplica) {
+  bootstrap(5);
+  const NodeId lead = wait_for_leader();
+  ASSERT_GE(lead, 0);
+  const Slot slot = group.replica(lead).commit_index();
+  bool done = false;
+  group.submit(cmd(std::string(2000, 'v')),
+               [&](bool ok, const std::vector<std::uint8_t>&) { done = ok; });
+  sim.run_until(sim.now() + 200);
+  ASSERT_TRUE(done);
+  const Value* at_lead = group.replica(lead).chosen_value(slot);
+  ASSERT_NE(at_lead, nullptr);
+  ASSERT_EQ(at_lead->payload.vec(), cmd(std::string(2000, 'v')));
+  for (NodeId id : group.node_ids()) {
+    const Value* v = group.replica(id).chosen_value(slot);
+    ASSERT_NE(v, nullptr) << "replica " << id;
+    EXPECT_EQ(v->payload.data(), at_lead->payload.data()) << "replica " << id;
+  }
+}
+
 // Safety property under message-level chaos: drop 20% of messages and crash
 // /restart nodes; all replicas that applied slot i applied the same value.
 TEST(PaxosChaos, AgreementUnderDropsAndCrashes) {

@@ -52,17 +52,17 @@ TEST(Replica, InstallSnapshotAppliesInOrder) {
   Replica rep(sim, net, 9, {9}, sm, Replica::Options{}, 1);
   Value v1;
   v1.kind = ValueKind::kCommand;
-  v1.payload = {1};
+  v1.payload = std::vector<std::uint8_t>{1};
   Value v2;
   v2.kind = ValueKind::kCommand;
-  v2.payload = {2};
+  v2.payload = std::vector<std::uint8_t>{2};
   rep.install_snapshot({{0, v1}, {1, v2}}, {9});
   EXPECT_EQ(rep.commit_index(), 2);
   EXPECT_EQ(sm.applied, 2);
   // A gap stops the applied prefix.
   Value v4;
   v4.kind = ValueKind::kCommand;
-  v4.payload = {4};
+  v4.payload = std::vector<std::uint8_t>{4};
   rep.install_snapshot({{3, v4}}, {9});
   EXPECT_EQ(rep.commit_index(), 2);
 }
