@@ -173,9 +173,9 @@ std::size_t ReedSolomon::decode_cache_size() const {
 }
 
 std::optional<std::vector<Chunk>> ReedSolomon::reconstruct(
-    const std::vector<std::pair<int, Chunk>>& have) const {
+    const std::vector<ChunkView>& have) const {
   // Deduplicate indices, keep the first m.
-  std::vector<std::pair<std::size_t, const Chunk*>> rows;
+  std::vector<std::pair<std::size_t, std::span<const std::uint8_t>>> rows;
   for (const auto& [idx, chunk] : have) {
     if (idx < 0 || idx >= n_) throw std::out_of_range("chunk index");
     bool dup = false;
@@ -185,14 +185,14 @@ std::optional<std::vector<Chunk>> ReedSolomon::reconstruct(
         break;
       }
     }
-    if (!dup) rows.emplace_back(static_cast<std::size_t>(idx), &chunk);
+    if (!dup) rows.emplace_back(static_cast<std::size_t>(idx), chunk);
     if (static_cast<int>(rows.size()) == m_) break;
   }
   if (static_cast<int>(rows.size()) < m_) return std::nullopt;
 
-  std::size_t len = rows[0].second->size();
+  std::size_t len = rows[0].second.size();
   for (const auto& [_, c] : rows) {
-    if (c->size() != len) throw std::invalid_argument("unequal chunk sizes");
+    if (c.size() != len) throw std::invalid_argument("unequal chunk sizes");
   }
 
   // Canonical row order for the memoized decode matrix.  Sorting permutes
@@ -207,7 +207,10 @@ std::optional<std::vector<Chunk>> ReedSolomon::reconstruct(
   // Fast path: all m data chunks survived (sorted + distinct + < m means
   // exactly rows 0..m-1) — the decode matrix is the identity.
   if (rows.back().first < static_cast<std::size_t>(m_)) {
-    for (int r = 0; r < m_; ++r) data[static_cast<std::size_t>(r)] = *rows[static_cast<std::size_t>(r)].second;
+    for (int r = 0; r < m_; ++r) {
+      const auto& src = rows[static_cast<std::size_t>(r)].second;
+      std::copy(src.begin(), src.end(), data[static_cast<std::size_t>(r)].begin());
+    }
     return data;
   }
 
@@ -218,7 +221,7 @@ std::optional<std::vector<Chunk>> ReedSolomon::reconstruct(
 
   std::vector<const std::uint8_t*> src;
   src.reserve(rows.size());
-  for (const auto& [_, c] : rows) src.push_back(c->data());
+  for (const auto& [_, c] : rows) src.push_back(c.data());
   std::vector<std::uint8_t*> dst;
   dst.reserve(data.size());
   for (auto& d : data) dst.push_back(d.data());
@@ -229,7 +232,13 @@ std::optional<std::vector<Chunk>> ReedSolomon::reconstruct(
 std::optional<std::vector<std::uint8_t>> ReedSolomon::decode(
     const std::vector<std::pair<int, Chunk>>& have,
     std::size_t original_size) const {
-  auto data = reconstruct(have);
+  std::vector<ChunkView> views(have.begin(), have.end());
+  return decode(views, original_size);
+}
+
+std::optional<std::vector<std::uint8_t>> ReedSolomon::decode(
+    std::span<const ChunkView> have, std::size_t original_size) const {
+  auto data = reconstruct({have.begin(), have.end()});
   if (!data) return std::nullopt;
   std::vector<std::uint8_t> out;
   out.reserve((*data).size() * (*data)[0].size());

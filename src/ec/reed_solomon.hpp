@@ -26,6 +26,8 @@
 #include <map>
 #include <mutex>
 #include <optional>
+#include <span>
+#include <utility>
 #include <vector>
 
 #include "ec/gf_matrix.hpp"
@@ -33,6 +35,8 @@
 namespace jupiter {
 
 using Chunk = std::vector<std::uint8_t>;
+/// A borrowed chunk: its index in [0, n) and a view of its bytes.
+using ChunkView = std::pair<int, std::span<const std::uint8_t>>;
 
 class ReedSolomon {
  public:
@@ -62,13 +66,17 @@ class ReedSolomon {
   std::vector<Chunk> encode_chunks(const std::vector<Chunk>& data) const;
 
   /// Reconstructs the m data chunks from any >= m available chunks.
-  /// `have[i]` pairs a chunk index in [0, n) with its contents.  Returns
-  /// nullopt if fewer than m distinct chunks are supplied.
+  /// `have[i]` pairs a chunk index in [0, n) with a view of its contents;
+  /// the chunks are read in place, not copied.  Returns nullopt if fewer
+  /// than m distinct chunks are supplied.
   std::optional<std::vector<Chunk>> reconstruct(
-      const std::vector<std::pair<int, Chunk>>& have) const;
+      const std::vector<ChunkView>& have) const;
 
   /// Reconstructs and concatenates the data chunks, trimming to
-  /// `original_size`.
+  /// `original_size`.  Borrows the chunks.
+  std::optional<std::vector<std::uint8_t>> decode(
+      std::span<const ChunkView> have, std::size_t original_size) const;
+  /// decode() over owned chunks: views them and decodes.
   std::optional<std::vector<std::uint8_t>> decode(
       const std::vector<std::pair<int, Chunk>>& have,
       std::size_t original_size) const;

@@ -18,7 +18,7 @@ std::vector<std::uint8_t> LockCommand::encode() const {
   return w.take();
 }
 
-LockCommand LockCommand::decode(const std::vector<std::uint8_t>& bytes) {
+LockCommand LockCommand::decode(std::span<const std::uint8_t> bytes) {
   ByteReader r(bytes);
   LockCommand c;
   c.op = static_cast<LockOp>(r.u8());
@@ -191,6 +191,12 @@ LockResponse LockServiceState::handle(const LockCommand& cmd) {
   }
   if (expiry_.size() > 2 * open_ + kQueueSlack) compact_expiry_queue();
   return resp;
+}
+
+// The lock table reads a command in place and keeps none of its bytes, so
+// neither entry copies it.
+std::vector<std::uint8_t> LockServiceState::apply(const ByteSlice& command) {
+  return handle(LockCommand::decode(command.span())).encode();
 }
 
 std::vector<std::uint8_t> LockServiceState::apply(

@@ -14,6 +14,7 @@
 #include <compare>
 #include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -42,7 +43,7 @@ struct LockCommand {
   std::int64_t lease = 0; // session lease length (kOpenSession)
 
   std::vector<std::uint8_t> encode() const;
-  static LockCommand decode(const std::vector<std::uint8_t>& bytes);
+  static LockCommand decode(std::span<const std::uint8_t> bytes);
 };
 
 enum class LockStatus : std::uint8_t {
@@ -64,6 +65,7 @@ struct LockResponse {
 /// The replicated lock table.
 class LockServiceState : public paxos::StateMachine {
  public:
+  std::vector<std::uint8_t> apply(const ByteSlice& command) override;
   std::vector<std::uint8_t> apply(
       const std::vector<std::uint8_t>& command) override;
   /// Lease fast path: answers kGetOwner without a log entry.  Unlike

@@ -52,7 +52,7 @@ NodeId Group::leader_id() const {
   return -1;
 }
 
-void Group::submit(std::vector<std::uint8_t> command, Replica::Callback cb,
+void Group::submit(SharedBytes command, Replica::Callback cb,
                    TimeDelta deadline) {
   auto sub = std::make_shared<Submission>();
   sub->command = std::move(command);

@@ -34,7 +34,7 @@ class Group {
   /// every 2 s.  `cb` fires exactly once: ok when the op commits, or
   /// not-ok once `deadline` passes — then the op's fate is unknown, since a
   /// leader that crashed with it in flight may have got it chosen.
-  void submit(std::vector<std::uint8_t> command, Replica::Callback cb,
+  void submit(SharedBytes command, Replica::Callback cb,
               TimeDelta deadline = 600);
 
   /// Lease fast path: answers the query from the leader's materialized
@@ -54,9 +54,10 @@ class Group {
 
  private:
   /// One Group::submit call: the command, the caller's callback, and the
-  /// deadline event that fails it if nothing else resolves it first.
+  /// deadline event that fails it if nothing else resolves it first.  Every
+  /// attempt hands the replica the same command buffer.
   struct Submission {
-    std::vector<std::uint8_t> command;
+    SharedBytes command;
     Replica::Callback cb;
     EventHandle deadline;
     bool done = false;

@@ -137,19 +137,20 @@ bool Replica::in_config(NodeId n) const {
 
 Replica::SlotState& Replica::slot_state(Slot s) { return log_[s]; }
 
+// The proposer's id above bit 40 and its own counter below: unique per
+// proposer (the counter survives crash and restart) and increasing in
+// proposal order.
 std::uint64_t Replica::fresh_value_id() {
-  return (static_cast<std::uint64_t>(id_ + 1) << 40) ^ (++value_counter_) ^
-         (static_cast<std::uint64_t>(sim_.now().seconds()) << 8);
+  return (static_cast<std::uint64_t>(id_ + 1) << 40) | ++value_counter_;
 }
 
-const std::vector<std::uint8_t>* Replica::full_payload(
-    const SlotState& st) const {
+const SharedBytes* Replica::full_payload(const SlotState& st) const {
   const Value& v = st.chosen_val;
-  if (!v.coded) return &v.payload.vec();
+  if (!v.coded) return &v.payload;
   // proposal_full is only ever a full value; its value_id says whether it
   // is the one chosen here or a proposal that lost the slot.
   if (!st.proposal_full.coded && st.proposal_full.value_id == v.value_id) {
-    return &st.proposal_full.payload.vec();
+    return &st.proposal_full.payload;
   }
   return nullptr;
 }
@@ -253,15 +254,18 @@ void Replica::become_leader() {
             "node " + std::to_string(id_) + " elected leader, ballot " +
                 ballot_.str());
 
-  // Gather accepted values per open slot from the promise quorum.
+  // Gather accepted values per open slot from the promise quorum.  The
+  // promises are spent once gathered: releasing them here keeps the buffers
+  // they reference from being pinned for the whole term.
   std::map<Slot, std::vector<std::pair<Ballot, Value>>> seen;
   Slot max_slot = commit_index_ - 1;
-  for (const auto& msg : promise_msgs_) {
-    for (const auto& p : msg.promises) {
-      seen[p.slot].emplace_back(p.accepted, p.value);
+  for (auto& msg : promise_msgs_) {
+    for (auto& p : msg.promises) {
+      seen[p.slot].emplace_back(p.accepted, std::move(p.value));
       max_slot = std::max(max_slot, p.slot);
     }
   }
+  promise_msgs_.clear();
   for (const auto& [slot, st] : log_) {
     if (slot >= commit_index_ && st.acc.has_value) {
       seen[slot].emplace_back(st.acc.accepted, st.acc.value);
@@ -389,10 +393,10 @@ std::optional<Value> Replica::reconstruct_from_chunks(
   int n = chunks.front().rs_n;
   if (n < opts_.policy.rs_m) return std::nullopt;
   const ReedSolomon& rs = ReedSolomon::shared(opts_.policy.rs_m, n);
-  std::vector<std::pair<int, Chunk>> have;
+  std::vector<ChunkView> have;
   for (const auto& c : chunks) {
     if (c.rs_n != n) continue;  // stale mix; matching value_id implies same n
-    have.emplace_back(c.chunk_index, c.payload);
+    have.emplace_back(c.chunk_index, c.payload.vec());
   }
   auto data = rs.decode(have, chunks.front().full_size);
   if (!data) return std::nullopt;
@@ -570,7 +574,7 @@ void Replica::apply_ready() {
           break;
         case ValueKind::kCommand:
         case ValueKind::kBatch: {
-          const std::vector<std::uint8_t>* bytes = full_payload(st);
+          const SharedBytes* bytes = full_payload(st);
           if (bytes == nullptr) {
             sm_.apply_chunk(v);
             st.applied_chunk_only = true;
@@ -635,19 +639,19 @@ void Replica::apply_ready() {
 }
 
 std::vector<std::vector<std::uint8_t>> Replica::apply_full(
-    ValueKind kind, const std::vector<std::uint8_t>& bytes) {
+    ValueKind kind, const SharedBytes& bytes) {
   std::vector<std::vector<std::uint8_t>> responses;
   if (kind == ValueKind::kCommand) {
-    responses.push_back(sm_.apply(bytes));
+    responses.push_back(sm_.apply(ByteSlice(bytes)));
     ++applied_commands_;
     return responses;
   }
-  // Decode and apply each sub-op in order: a batch replays identically on
-  // every replica (one log entry, many commands).
-  auto ops = decode_batch(bytes);
+  // Apply each sub-op in order, as a slice of the batch: a batch replays
+  // identically on every replica (one log entry, many commands).
+  auto ops = batch_ops(bytes.vec());
   responses.reserve(ops.size());
-  for (const auto& op : ops) {
-    responses.push_back(sm_.apply(op));
+  for (auto op : ops) {
+    responses.push_back(sm_.apply(ByteSlice(bytes, op)));
     ++applied_commands_;
   }
   return responses;
@@ -836,7 +840,7 @@ int Replica::open_slots() const {
   return n;
 }
 
-void Replica::enqueue(std::vector<std::uint8_t> command, Callback cb) {
+void Replica::enqueue(SharedBytes command, Callback cb) {
   if (batch_queue_.size() >= opts_.plane.max_queued_ops) {
     // Backpressure: the leader's queue is full — fail fast so the client
     // retries later instead of growing an unbounded backlog.
@@ -905,7 +909,7 @@ void Replica::flush_batches() {
       v.payload = std::move(taken.front().command);
     } else {
       v.kind = ValueKind::kBatch;
-      std::vector<std::vector<std::uint8_t>> ops;
+      std::vector<SharedBytes> ops;
       ops.reserve(taken.size());
       for (auto& q : taken) ops.push_back(std::move(q.command));
       v.payload = encode_batch(ops);
@@ -960,7 +964,7 @@ Slot Replica::claim_slot() {
 
 // ---------------------------------------------------------------- client
 
-void Replica::submit(std::vector<std::uint8_t> command, Callback cb) {
+void Replica::submit(SharedBytes command, Callback cb) {
   // A candidate keeps the op queued: flush_batches() holds the queue until
   // become_leader() has re-proposed the recovered slots.
   if (!alive_ || !(preparing_ || is_leader())) {

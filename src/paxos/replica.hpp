@@ -42,7 +42,18 @@ class StateMachine {
  public:
   virtual ~StateMachine() = default;
   /// Full-value command (classic replication, and the leader side of
-  /// RS-Paxos).  Returns the response bytes.
+  /// RS-Paxos), as a slice of the chosen log payload: the one entry the
+  /// replica calls.  A state machine may keep the slice (the KV store keeps
+  /// a put's value that way) instead of copying the bytes out.  The default
+  /// copies the slice into apply(const std::vector&).  Returns the response
+  /// bytes.
+  virtual std::vector<std::uint8_t> apply(const ByteSlice& command) {
+    return apply(std::vector<std::uint8_t>(command.span().begin(),
+                                           command.span().end()));
+  }
+  /// The same command as owned bytes.  Services implement the slice entry
+  /// and forward this one to it; state machines that only need the bytes
+  /// (test recorders, timing decorators) may implement just this one.
   virtual std::vector<std::uint8_t> apply(
       const std::vector<std::uint8_t>& command) = 0;
   /// Coded command (RS-Paxos followers): the node stores its chunk.  The
@@ -150,7 +161,7 @@ class Replica {
   /// an election queues the op and proposes it, after the slots it
   /// recovers, once it wins; a lost election leaves the op queued until
   /// this node next wins or crashes (Group::submit's deadline covers it).
-  void submit(std::vector<std::uint8_t> command, Callback cb);
+  void submit(SharedBytes command, Callback cb);
   /// Proposes a membership change (leader only).
   void propose_config(std::vector<NodeId> members, Callback cb);
 
@@ -178,6 +189,9 @@ class Replica {
 
   // ---- stats ----
   int elections_started() const { return elections_; }
+  /// Promise messages this node keeps from its current election; a node
+  /// that has won releases them once it has gathered the accepted values.
+  std::size_t promises_held() const { return promise_msgs_.size(); }
   std::int64_t commands_applied() const { return applied_commands_; }
   std::int64_t batches_proposed() const { return batches_proposed_; }
   std::int64_t batched_ops() const { return batched_ops_; }
@@ -242,7 +256,7 @@ class Replica {
     std::uint64_t trace_id = 0;
   };
   struct QueuedOp {
-    std::vector<std::uint8_t> command;
+    SharedBytes command;
     Callback cb;
     std::uint64_t trace_id = 0;
   };
@@ -259,9 +273,10 @@ class Replica {
   void note_commit_lag(Slot slot);
   void apply_ready();
   /// Applies the full bytes of a kCommand or kBatch value to the state
-  /// machine, op by op, and returns one response per op.
-  std::vector<std::vector<std::uint8_t>> apply_full(
-      ValueKind kind, const std::vector<std::uint8_t>& bytes);
+  /// machine, op by op, each op a slice of `bytes`, and returns one
+  /// response per op.
+  std::vector<std::vector<std::uint8_t>> apply_full(ValueKind kind,
+                                                    const SharedBytes& bytes);
   void broadcast(Message m);
   void arm_failure_detector();
   void arm_heartbeat();
@@ -286,11 +301,11 @@ class Replica {
   /// The full bytes of the value chosen at `st`, or nullptr when this node
   /// holds only its RS chunk (a full proposal that lost the slot does not
   /// count).
-  const std::vector<std::uint8_t>* full_payload(const SlotState& st) const;
+  const SharedBytes* full_payload(const SlotState& st) const;
 
   // ---- client op path: enqueue -> flush_batches -> propose ----
   /// Queues an op and arms a flush.
-  void enqueue(std::vector<std::uint8_t> command, Callback cb);
+  void enqueue(SharedBytes command, Callback cb);
   /// Coalesces queued ops into kBatch/kCommand values, one slot each,
   /// respecting the pipeline window.  Holds the queue while this node is
   /// not an elected leader; re-run after every commit.

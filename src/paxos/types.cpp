@@ -1,5 +1,6 @@
 #include "paxos/types.hpp"
 
+#include <algorithm>
 #include <stdexcept>
 
 namespace jupiter::paxos {
@@ -38,8 +39,7 @@ std::vector<NodeId> decode_config(const std::vector<std::uint8_t>& bytes) {
   return members;
 }
 
-std::vector<std::uint8_t> encode_batch(
-    const std::vector<std::vector<std::uint8_t>>& ops) {
+std::vector<std::uint8_t> encode_batch(const std::vector<SharedBytes>& ops) {
   std::size_t total = 4;
   for (const auto& op : ops) total += 4 + op.size();
   std::vector<std::uint8_t> out;
@@ -52,13 +52,13 @@ std::vector<std::uint8_t> encode_batch(
   put32(static_cast<std::uint32_t>(ops.size()));
   for (const auto& op : ops) {
     put32(static_cast<std::uint32_t>(op.size()));
-    out.insert(out.end(), op.begin(), op.end());
+    out.insert(out.end(), op.vec().begin(), op.vec().end());
   }
   return out;
 }
 
-std::vector<std::vector<std::uint8_t>> decode_batch(
-    const std::vector<std::uint8_t>& bytes) {
+std::vector<std::span<const std::uint8_t>> batch_ops(
+    std::span<const std::uint8_t> bytes) {
   std::size_t off = 0;
   auto get32 = [&bytes, &off]() {
     if (off + 4 > bytes.size()) throw std::invalid_argument("short batch");
@@ -69,16 +69,26 @@ std::vector<std::vector<std::uint8_t>> decode_batch(
     return v;
   };
   std::uint32_t count = get32();
-  std::vector<std::vector<std::uint8_t>> ops;
-  ops.reserve(count);
+  std::vector<std::span<const std::uint8_t>> ops;
+  // Every op costs at least its 4-byte prefix: a corrupt count cannot
+  // reserve more than the buffer could hold.
+  ops.reserve(std::min<std::size_t>(count, bytes.size() / 4));
   for (std::uint32_t i = 0; i < count; ++i) {
     std::uint32_t len = get32();
     if (off + len > bytes.size()) throw std::invalid_argument("short batch op");
-    ops.emplace_back(bytes.begin() + static_cast<std::ptrdiff_t>(off),
-                     bytes.begin() + static_cast<std::ptrdiff_t>(off + len));
+    ops.push_back(bytes.subspan(off, len));
     off += len;
   }
   if (off != bytes.size()) throw std::invalid_argument("trailing batch bytes");
+  return ops;
+}
+
+std::vector<std::vector<std::uint8_t>> decode_batch(
+    const std::vector<std::uint8_t>& bytes) {
+  auto views = batch_ops(bytes);
+  std::vector<std::vector<std::uint8_t>> ops;
+  ops.reserve(views.size());
+  for (auto op : views) ops.emplace_back(op.begin(), op.end());
   return ops;
 }
 

@@ -13,6 +13,7 @@
 
 #include <compare>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -120,8 +121,14 @@ std::vector<NodeId> decode_config(const std::vector<std::uint8_t>& bytes);
 /// Batch framing for kBatch values: little-endian u32 op count, then per op
 /// a u32 length prefix and the command bytes.  Deterministic and
 /// self-delimiting, so a batch replays identically on every replica.
-std::vector<std::uint8_t> encode_batch(
-    const std::vector<std::vector<std::uint8_t>>& ops);
+std::vector<std::uint8_t> encode_batch(const std::vector<SharedBytes>& ops);
+/// The one parser of the batch framing: each op's bytes, in order, as a view
+/// into `bytes`.  Validates the whole batch before returning, so a malformed
+/// one throws std::invalid_argument ("short batch", "short batch op" or
+/// "trailing batch bytes") before any op is applied.
+std::vector<std::span<const std::uint8_t>> batch_ops(
+    std::span<const std::uint8_t> bytes);
+/// batch_ops with each op copied out.
 std::vector<std::vector<std::uint8_t>> decode_batch(
     const std::vector<std::uint8_t>& bytes);
 

@@ -1,13 +1,53 @@
 #include "storage/kv_store.hpp"
 
 #include <set>
+#include <span>
 #include <stdexcept>
 #include <utility>
 
 namespace jupiter::storage {
 
+namespace {
+
+/// A command read in place: the key copied out, the value a view into the
+/// command's bytes.
+struct CommandView {
+  KvOp op = KvOp::kGet;
+  std::string key;
+  std::span<const std::uint8_t> value;
+};
+
+CommandView parse(std::span<const std::uint8_t> bytes) {
+  ByteReader r(bytes);
+  CommandView c;
+  c.op = static_cast<KvOp>(r.u8());
+  c.key = r.str();
+  c.value = r.bytes_view();
+  return c;
+}
+
+std::vector<std::uint8_t> encode_response(KvStatus status,
+                                          std::span<const std::uint8_t> value) {
+  ByteWriter w;
+  w.reserve(1 + 4 + value.size());
+  w.u8(static_cast<std::uint8_t>(status));
+  w.bytes(value);
+  return w.take();
+}
+
+/// A get's response, built with one copy of the stored value.
+std::vector<std::uint8_t> get_response(
+    const std::map<std::string, ByteSlice>& map, const std::string& key) {
+  auto it = map.find(key);
+  if (it == map.end()) return encode_response(KvStatus::kNotFound, {});
+  return encode_response(KvStatus::kOk, it->second.span());
+}
+
+}  // namespace
+
 std::vector<std::uint8_t> KvCommand::encode() const {
   ByteWriter w;
+  w.reserve(1 + 4 + key.size() + 4 + value.size());
   w.u8(static_cast<std::uint8_t>(op));
   w.str(key);
   w.bytes(value);
@@ -15,19 +55,16 @@ std::vector<std::uint8_t> KvCommand::encode() const {
 }
 
 KvCommand KvCommand::decode(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
+  CommandView v = parse(bytes);
   KvCommand c;
-  c.op = static_cast<KvOp>(r.u8());
-  c.key = r.str();
-  c.value = r.bytes();
+  c.op = v.op;
+  c.key = std::move(v.key);
+  c.value.assign(v.value.begin(), v.value.end());
   return c;
 }
 
 std::vector<std::uint8_t> KvResponse::encode() const {
-  ByteWriter w;
-  w.u8(static_cast<std::uint8_t>(status));
-  w.bytes(value);
-  return w.take();
+  return encode_response(status, value);
 }
 
 KvResponse KvResponse::decode(const std::vector<std::uint8_t>& bytes) {
@@ -38,38 +75,34 @@ KvResponse KvResponse::decode(const std::vector<std::uint8_t>& bytes) {
   return resp;
 }
 
-KvResponse KvStoreState::handle(KvCommand cmd) {
-  KvResponse resp;
+std::vector<std::uint8_t> KvStoreState::apply(const ByteSlice& command) {
+  CommandView cmd = parse(command.span());
   switch (cmd.op) {
     case KvOp::kPut:
-      map_[std::move(cmd.key)] = std::move(cmd.value);
+      map_.insert_or_assign(std::move(cmd.key),
+                            ByteSlice(command.buffer(), cmd.value));
       break;
-    case KvOp::kGet: {
-      auto it = map_.find(cmd.key);
-      if (it == map_.end()) {
-        resp.status = KvStatus::kNotFound;
-      } else {
-        resp.value = it->second;
+    case KvOp::kGet:
+      return get_response(map_, cmd.key);
+    case KvOp::kDelete:
+      if (map_.erase(cmd.key) == 0) {
+        return encode_response(KvStatus::kNotFound, {});
       }
       break;
-    }
-    case KvOp::kDelete:
-      if (map_.erase(cmd.key) == 0) resp.status = KvStatus::kNotFound;
-      break;
   }
-  return resp;
+  return encode_response(KvStatus::kOk, {});
 }
 
 std::vector<std::uint8_t> KvStoreState::apply(
     const std::vector<std::uint8_t>& command) {
-  return handle(KvCommand::decode(command)).encode();
+  return apply(ByteSlice(SharedBytes(command)));
 }
 
 std::optional<std::vector<std::uint8_t>> KvStoreState::read(
     const std::vector<std::uint8_t>& query) {
-  KvCommand cmd = KvCommand::decode(query);
+  CommandView cmd = parse(query);
   if (cmd.op != KvOp::kGet) return std::nullopt;
-  return handle(std::move(cmd)).encode();
+  return get_response(map_, cmd.key);
 }
 
 void KvStoreState::apply_chunk(const paxos::Value& value) {
@@ -85,9 +118,14 @@ void KvStoreState::apply_chunk(const paxos::Value& value) {
 
 std::optional<std::vector<std::uint8_t>> KvStoreState::get(
     const std::string& key) const {
+  const ByteSlice* v = find(key);
+  if (v == nullptr) return std::nullopt;
+  return std::vector<std::uint8_t>(v->span().begin(), v->span().end());
+}
+
+const ByteSlice* KvStoreState::find(const std::string& key) const {
   auto it = map_.find(key);
-  if (it == map_.end()) return std::nullopt;
-  return it->second;
+  return it == map_.end() ? nullptr : &it->second;
 }
 
 std::size_t KvStoreState::reconstruct_into(
@@ -96,23 +134,24 @@ std::size_t KvStoreState::reconstruct_into(
   if (static_cast<int>(followers.size()) < rs_m) {
     throw std::invalid_argument("need at least m chunk logs");
   }
-  // Union of value ids seen anywhere, applied in id order (value ids are
-  // assigned monotonically per proposer; for a single-leader stream this
-  // reproduces commit order — tests exercise exactly that scenario).
+  // Union of value ids seen anywhere, applied in id order.  A proposer's
+  // value ids increase in proposal order (Replica::fresh_value_id), so for
+  // a single-leader stream this reproduces commit order — tests exercise
+  // exactly that scenario.
   std::set<std::uint64_t> ids;
   for (const auto* f : followers) {
     for (const auto& [id, _] : f->chunks()) ids.insert(id);
   }
   std::size_t recovered = 0;
   for (std::uint64_t id : ids) {
-    std::vector<std::pair<int, Chunk>> have;
+    std::vector<ChunkView> have;
     paxos::ValueKind kind = paxos::ValueKind::kCommand;
     int rs_n = 0;
     std::uint32_t full_size = 0;
     for (const auto* f : followers) {
       auto it = f->chunks().find(id);
       if (it == f->chunks().end()) continue;
-      have.emplace_back(it->second.chunk_index, it->second.bytes);
+      have.emplace_back(it->second.chunk_index, it->second.bytes.vec());
       kind = it->second.kind;
       rs_n = it->second.rs_n;
       full_size = it->second.full_size;
@@ -123,13 +162,14 @@ std::size_t KvStoreState::reconstruct_into(
     const ReedSolomon& rs = ReedSolomon::shared(rs_m, rs_n);
     auto data = rs.decode(have, full_size);
     if (!data) continue;
+    const SharedBytes full(std::move(*data));
     if (kind == paxos::ValueKind::kBatch) {
-      for (const auto& op : paxos::decode_batch(*data)) {
-        out.handle(KvCommand::decode(op));
+      for (auto op : paxos::batch_ops(full.vec())) {
+        out.apply(ByteSlice(full, op));
         ++recovered;
       }
     } else {
-      out.handle(KvCommand::decode(*data));
+      out.apply(ByteSlice(full));
       ++recovered;
     }
   }

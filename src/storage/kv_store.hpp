@@ -63,6 +63,10 @@ struct StoredChunk {
 
 class KvStoreState : public paxos::StateMachine {
  public:
+  /// Applies one command.  A put stores its value as a slice of `command`,
+  /// so the store shares the chosen log payload instead of copying it.
+  std::vector<std::uint8_t> apply(const ByteSlice& command) override;
+  /// Copies `command` into a buffer of its own and applies that.
   std::vector<std::uint8_t> apply(
       const std::vector<std::uint8_t>& command) override;
   void apply_chunk(const paxos::Value& value) override;
@@ -72,7 +76,11 @@ class KvStoreState : public paxos::StateMachine {
       const std::vector<std::uint8_t>& query) override;
 
   // Leader-side reads.
+  /// An owned copy of the value stored at `key`.
   std::optional<std::vector<std::uint8_t>> get(const std::string& key) const;
+  /// The stored value itself, a slice of the log payload that carried its
+  /// put; nullptr when `key` is absent.
+  const ByteSlice* find(const std::string& key) const;
   std::size_t keys() const { return map_.size(); }
 
   // Follower-side chunk log.
@@ -90,10 +98,9 @@ class KvStoreState : public paxos::StateMachine {
       KvStoreState& out);
 
  private:
-  /// Owns the decoded command, so a put moves its bytes into the map.
-  KvResponse handle(KvCommand cmd);
-
-  std::map<std::string, std::vector<std::uint8_t>> map_;
+  // Values pin the log payloads they slice (a batched put pins its whole
+  // batch) until the key is overwritten or erased.
+  std::map<std::string, ByteSlice> map_;
   std::map<std::uint64_t, StoredChunk> chunks_;  // value_id -> chunk
   std::uint64_t chunk_bytes_ = 0;
 };

@@ -11,7 +11,7 @@ TEST(Bytes, RoundTripAllTypes) {
   w.u32(0xDEADBEEF);
   w.i64(-123456789012345LL);
   w.str("hello");
-  w.bytes({1, 2, 3});
+  w.bytes(std::vector<std::uint8_t>{1, 2, 3});
   auto buf = w.take();
 
   ByteReader r(buf);

@@ -74,7 +74,7 @@ TEST(Replica, SubmitWhenDeadFailsImmediately) {
   Replica rep(sim, net, 0, {0, 1, 2}, sm, Replica::Options{}, 3);
   // Never started: not alive.
   bool called = false, ok = true;
-  rep.submit({1}, [&](bool o, const std::vector<std::uint8_t>&) {
+  rep.submit(std::vector<std::uint8_t>{1}, [&](bool o, const std::vector<std::uint8_t>&) {
     called = true;
     ok = o;
   });
@@ -94,7 +94,7 @@ TEST(Group, SubmitFailsAfterDeadlineWithoutQuorum) {
   // Kill everyone: no leader can serve.
   for (NodeId id : group.node_ids()) group.crash(id);
   bool called = false, ok = true;
-  group.submit({1}, [&](bool o, const std::vector<std::uint8_t>&) {
+  group.submit(std::vector<std::uint8_t>{1}, [&](bool o, const std::vector<std::uint8_t>&) {
     called = true;
     ok = o;
   }, /*deadline=*/100);
@@ -123,7 +123,7 @@ TEST(Group, SubmitResolvesByDeadlineWhenTheLeaderCrashesMidFlight) {
     int calls = 0;
     bool ok = true;
     SimTime resolved_at;
-    group.submit({1}, [&](bool o, const std::vector<std::uint8_t>&) {
+    group.submit(std::vector<std::uint8_t>{1}, [&](bool o, const std::vector<std::uint8_t>&) {
       ++calls;
       ok = o;
       resolved_at = sim.now();

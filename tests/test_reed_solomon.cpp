@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+
 #include "ec/cpu_dispatch.hpp"
 #include "util/rng.hpp"
 
@@ -58,6 +60,33 @@ TEST(ReedSolomon, EveryTripleReconstructsTheta35) {
         ASSERT_TRUE(out.has_value()) << a << b << c;
         EXPECT_EQ(*out, data) << a << b << c;
       }
+    }
+  }
+}
+
+// The borrowing decode reads the chunks in place.  For every erasure
+// pattern of theta(3,5) it must return what the owned decode returns.
+TEST(ReedSolomon, BorrowingDecodeMatchesOwnedDecode) {
+  ReedSolomon rs(3, 5);
+  Rng rng(5);
+  auto data = random_data(1001, rng);
+  auto chunks = rs.encode(data);
+  for (unsigned mask = 0; mask < 32; ++mask) {
+    std::vector<std::pair<int, Chunk>> owned;
+    std::vector<ChunkView> views;
+    for (int i = 0; i < 5; ++i) {
+      if ((mask >> i) & 1u) {
+        owned.emplace_back(i, chunks[static_cast<std::size_t>(i)]);
+        views.emplace_back(i, chunks[static_cast<std::size_t>(i)]);
+      }
+    }
+    auto from_owned = rs.decode(owned, data.size());
+    auto from_views = rs.decode(views, data.size());
+    EXPECT_EQ(from_views, from_owned) << "mask " << mask;
+    EXPECT_EQ(from_views.has_value(), std::popcount(mask) >= 3)
+        << "mask " << mask;
+    if (from_views) {
+      EXPECT_EQ(*from_views, data) << "mask " << mask;
     }
   }
 }

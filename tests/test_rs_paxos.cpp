@@ -181,6 +181,74 @@ TEST_F(RsPaxosFixture, FollowerChunkLogSharesTheChosenPayload) {
   }
 }
 
+// Followers key their chunk logs by value_id, so two puts with one id keep
+// one chunk and recovery loses the other.  Ids must be unique per proposer
+// however many puts share a sim-second.
+TEST_F(RsPaxosFixture, HighRatePutsKeepEveryChunk) {
+  bootstrap();
+  const NodeId lead = wait_for_leader();
+  ASSERT_GE(lead, 0);
+  KvClient client(group);
+  constexpr int kSeconds = 5;
+  constexpr int kPerSecond = 200;
+  constexpr std::size_t kPuts = kSeconds * kPerSecond;
+  std::size_t acked = 0;
+  for (int s = 0; s < kSeconds; ++s) {
+    sim.schedule_after(s, [&client, &acked, s] {
+      for (int i = 0; i < kPerSecond; ++i) {
+        const std::string k = std::to_string(s * kPerSecond + i);
+        const std::string value = "value-" + k;
+        client.put("k" + k,
+                   std::vector<std::uint8_t>(value.begin(), value.end()),
+                   [&acked](KvResponse r) {
+                     if (r.status == KvStatus::kOk) ++acked;
+                   });
+      }
+    });
+  }
+  sim.run_until(sim.now() + 600);
+  ASSERT_EQ(acked, kPuts);
+
+  std::vector<const KvStoreState*> followers;
+  for (NodeId id : group.node_ids()) {
+    if (id == lead) continue;
+    EXPECT_EQ(sms[id]->chunk_count(), kPuts) << "follower " << id;
+    if (followers.size() < 3) followers.push_back(sms[id]);
+  }
+  KvStoreState recovered;
+  EXPECT_EQ(KvStoreState::reconstruct_into(followers, 3, recovered), kPuts);
+  EXPECT_EQ(recovered.keys(), kPuts);
+  auto v = recovered.get("k999");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(std::string(v->begin(), v->end()), "value-999");
+}
+
+// A leader has no use for its election's promises once it has gathered the
+// accepted values from them; keeping them would pin every promised chunk
+// for the whole term.
+TEST_F(RsPaxosFixture, NewLeaderHoldsNoPromises) {
+  bootstrap();
+  const NodeId lead = wait_for_leader();
+  ASSERT_GE(lead, 0);
+  EXPECT_EQ(group.replica(lead).promises_held(), 0u);
+  ASSERT_TRUE(put("k", "before-failover"));
+  group.crash(lead);
+  NodeId new_lead = -1;
+  const SimTime deadline = sim.now() + 900;
+  while (sim.now() < deadline) {
+    sim.run_until(sim.now() + 10);
+    new_lead = group.leader_id();
+    if (new_lead >= 0 && new_lead != lead) break;
+  }
+  ASSERT_GE(new_lead, 0);
+  ASSERT_NE(new_lead, lead);
+  EXPECT_EQ(group.replica(new_lead).promises_held(), 0u);
+  // The rebuild ran before the promises went: the key is there.
+  auto v = sms[new_lead]->get("k");
+  ASSERT_TRUE(v.has_value());
+  EXPECT_EQ(std::string(v->begin(), v->end()), "before-failover");
+}
+
 // The data plane coalesces puts into kBatch slots; each follower's chunk
 // then encodes a whole batch, and recovery must unpack it.
 TEST(RsPaxosDataPlane, ChunkLogsOfBatchedPutsReconstructTheStore) {
