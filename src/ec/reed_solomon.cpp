@@ -22,26 +22,32 @@ constexpr std::size_t kBlockBytes = 8 * 1024;
 // is identical for any shard count / thread schedule.
 constexpr std::size_t kShardBytes = 128 * 1024;
 
-/// dst[r][lo, hi) ^= sum_c mat(row0 + r, c) * src[c][lo, hi), blocked.
-void coded_muladd_range(const GFMatrix& mat, std::size_t row0,
-                        const std::vector<const std::uint8_t*>& src,
-                        const std::vector<std::uint8_t*>& dst,
-                        std::size_t lo, std::size_t hi) {
+/// dst[r][lo, hi) = sum_c mat(row0 + r, c) * src[c][lo, hi), blocked.  The
+/// first term is written, not accumulated, so dst's prior bytes are never
+/// read.
+void coded_mul_range(const GFMatrix& mat, std::size_t row0,
+                     const std::vector<const std::uint8_t*>& src,
+                     const std::vector<std::uint8_t*>& dst, std::size_t lo,
+                     std::size_t hi) {
   for (std::size_t b0 = lo; b0 < hi; b0 += kBlockBytes) {
     const std::size_t blen = std::min(kBlockBytes, hi - b0);
     for (std::size_t c = 0; c < src.size(); ++c) {
       const std::uint8_t* s = src[c] + b0;
       for (std::size_t r = 0; r < dst.size(); ++r) {
-        gf_muladd_region(mat.at(row0 + r, c), s, dst[r] + b0, blen);
+        if (c == 0) {
+          gf_mul_region(mat.at(row0 + r, c), s, dst[r] + b0, blen);
+        } else {
+          gf_muladd_region(mat.at(row0 + r, c), s, dst[r] + b0, blen);
+        }
       }
     }
   }
 }
 
-/// Full-length coded muladd, sharded across the global pool when large.
-void coded_muladd(const GFMatrix& mat, std::size_t row0,
-                  const std::vector<const std::uint8_t*>& src,
-                  const std::vector<std::uint8_t*>& dst, std::size_t len) {
+/// Full-length coded product, sharded across the global pool when large.
+void coded_mul(const GFMatrix& mat, std::size_t row0,
+               const std::vector<const std::uint8_t*>& src,
+               const std::vector<std::uint8_t*>& dst, std::size_t len) {
   if (dst.empty() || len == 0) return;
   if (len >= 2 * kShardBytes) {
     const std::size_t shards = (len + kShardBytes - 1) / kShardBytes;
@@ -49,10 +55,10 @@ void coded_muladd(const GFMatrix& mat, std::size_t row0,
     parallel_for(global_pool(), shards, [&](std::size_t i) {
       const std::size_t lo = i * kShardBytes;
       const std::size_t hi = std::min(lo + kShardBytes, len);
-      coded_muladd_range(mat, row0, src, dst, lo, hi);
+      coded_mul_range(mat, row0, src, dst, lo, hi);
     });
   } else {
-    coded_muladd_range(mat, row0, src, dst, 0, len);
+    coded_mul_range(mat, row0, src, dst, 0, len);
   }
 }
 
@@ -142,12 +148,12 @@ void ReedSolomon::add_parity(std::vector<Chunk>& out, std::size_t len) const {
   std::vector<std::uint8_t*> parity;
   parity.reserve(static_cast<std::size_t>(n_ - m_));
   for (int r = m_; r < n_; ++r) {
-    // The region kernels accumulate (dst ^= ...), so parity starts zeroed.
+    // coded_mul writes every byte; std::vector still value-initializes.
     Chunk& row = out[static_cast<std::size_t>(r)];
-    row.assign(len, 0);
+    row.resize(len);
     parity.push_back(row.data());
   }
-  coded_muladd(matrix_, static_cast<std::size_t>(m_), src, parity, len);
+  coded_mul(matrix_, static_cast<std::size_t>(m_), src, parity, len);
 }
 
 const GFMatrix* ReedSolomon::decode_matrix_for(
@@ -202,17 +208,18 @@ std::optional<std::vector<Chunk>> ReedSolomon::reconstruct(
   std::sort(rows.begin(), rows.end(),
             [](const auto& a, const auto& b) { return a.first < b.first; });
 
-  std::vector<Chunk> data(static_cast<std::size_t>(m_), Chunk(len, 0));
+  std::vector<Chunk> data;
+  data.reserve(static_cast<std::size_t>(m_));
 
   // Fast path: all m data chunks survived (sorted + distinct + < m means
-  // exactly rows 0..m-1) — the decode matrix is the identity.
+  // exactly rows 0..m-1) — the decode matrix is the identity, and each data
+  // row is a copy of its chunk.
   if (rows.back().first < static_cast<std::size_t>(m_)) {
-    for (int r = 0; r < m_; ++r) {
-      const auto& src = rows[static_cast<std::size_t>(r)].second;
-      std::copy(src.begin(), src.end(), data[static_cast<std::size_t>(r)].begin());
-    }
+    for (const auto& [_, c] : rows) data.emplace_back(c.begin(), c.end());
     return data;
   }
+  // coded_mul writes every byte; std::vector still value-initializes.
+  for (int r = 0; r < m_; ++r) data.emplace_back(len);
 
   std::vector<std::size_t> idxs;
   idxs.reserve(rows.size());
@@ -225,7 +232,7 @@ std::optional<std::vector<Chunk>> ReedSolomon::reconstruct(
   std::vector<std::uint8_t*> dst;
   dst.reserve(data.size());
   for (auto& d : data) dst.push_back(d.data());
-  coded_muladd(*dec, 0, src, dst, len);
+  coded_mul(*dec, 0, src, dst, len);
   return data;
 }
 

@@ -109,18 +109,11 @@ void Group::add_node(NodeId id, Replica::Callback cb) {
     return;
   }
   Replica& leader = replica(lead);
-
-  // Snapshot bootstrap: copy the leader's chosen prefix out of band.
-  std::vector<std::pair<Slot, Value>> entries;
-  for (Slot s = 0; s < leader.commit_index(); ++s) {
-    if (const Value* v = leader.chosen_value(s)) entries.emplace_back(s, *v);
-  }
   std::vector<NodeId> new_config = leader.config();
   new_config.push_back(id);
   std::sort(new_config.begin(), new_config.end());
 
   make_replica(id, leader.config());
-  replica(id).install_snapshot(entries, leader.config());
   replica(id).start();
   leader.propose_config(new_config, std::move(cb));
 }

@@ -1,7 +1,7 @@
 // Paxos group harness: wires N replicas over one SimNetwork, provides
-// leader discovery, a retrying client, and membership changes with
-// snapshot bootstrap — the machinery the lock/storage services and the
-// bidding framework's view changes build on.
+// leader discovery, a retrying client, and membership changes — the
+// machinery the lock/storage services and the bidding framework's view
+// changes build on.
 #pragma once
 
 #include <functional>
@@ -43,8 +43,10 @@ class Group {
   std::optional<std::vector<std::uint8_t>> local_read(
       const std::vector<std::uint8_t>& query);
 
-  /// Adds a fresh node: builds its replica, installs a snapshot of the
-  /// chosen log from the leader, starts it, then proposes the new config.
+  /// Adds a fresh node: builds its replica with an empty log under the
+  /// current config, starts it, then proposes the new config.  The joiner
+  /// learns the chosen prefix, the new config included, by catch-up once
+  /// the leader's heartbeats reach it.
   void add_node(NodeId id, Replica::Callback cb = nullptr);
   /// Removes a node from the config (it keeps running until crashed).
   void remove_node(NodeId id, Replica::Callback cb = nullptr);

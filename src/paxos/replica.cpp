@@ -71,12 +71,12 @@ void Replica::restart() {
 }
 
 void Replica::arm_failure_detector() {
-  TimeDelta delay = opts_.election_timeout + (id_ % 4) +
+  TimeDelta delay = kElectionTimeout + (id_ % 4) +
                     static_cast<TimeDelta>(rng_.below(4));
   sim_.schedule_after(delay, [this] {
     if (!alive_) return;
     if (!is_leader() &&
-        sim_.now() - last_heartbeat_ >= opts_.election_timeout &&
+        sim_.now() - last_heartbeat_ >= kElectionTimeout &&
         !lease_fenced_against(id_)) {
       // A node still fencing for another leaseholder defers its election
       // until that grant expires — the candidate-side half of lease safety.
@@ -87,7 +87,7 @@ void Replica::arm_failure_detector() {
 }
 
 void Replica::arm_heartbeat() {
-  sim_.schedule_after(opts_.heartbeat_period, [this] {
+  sim_.schedule_after(kHeartbeatPeriod, [this] {
     if (!alive_ || !is_leader()) return;
     Message hb;
     hb.type = MsgType::kHeartbeat;
@@ -112,7 +112,7 @@ void Replica::arm_heartbeat() {
 }
 
 void Replica::arm_retry() {
-  sim_.schedule_after(opts_.retry_period, [this] {
+  sim_.schedule_after(kRetryPeriod, [this] {
     if (!alive_) return;
     if (is_leader()) {
       for (Slot s = commit_index_; s < next_slot_; ++s) {
@@ -142,6 +142,13 @@ Replica::SlotState& Replica::slot_state(Slot s) { return log_[s]; }
 // proposal order.
 std::uint64_t Replica::fresh_value_id() {
   return (static_cast<std::uint64_t>(id_ + 1) << 40) | ++value_counter_;
+}
+
+Value Replica::make_noop() {
+  Value noop;
+  noop.kind = ValueKind::kNoop;
+  noop.value_id = fresh_value_id();
+  return noop;
 }
 
 const SharedBytes* Replica::full_payload(const SlotState& st) const {
@@ -257,7 +264,7 @@ void Replica::become_leader() {
   // Gather accepted values per open slot from the promise quorum.  The
   // promises are spent once gathered: releasing them here keeps the buffers
   // they reference from being pinned for the whole term.
-  std::map<Slot, std::vector<std::pair<Ballot, Value>>> seen;
+  std::map<Slot, Accepted> seen;
   Slot max_slot = commit_index_ - 1;
   for (auto& msg : promise_msgs_) {
     for (auto& p : msg.promises) {
@@ -279,20 +286,12 @@ void Replica::become_leader() {
   // order, materializing the full store at the new leader.  A slot applied
   // as a chunk counted as one command; its replay counts each op instead.
   if (opts_.policy.coded()) {
-    for (auto& [slot, vs] : seen) {
+    for (const auto& [slot, vs] : seen) {
       if (slot >= commit_index_) break;
       auto it = log_.find(slot);
       if (it == log_.end() || !it->second.applied_chunk_only) continue;
       SlotState& st = it->second;
-      std::vector<Value> chunks;
-      if (st.chosen_val.coded) chunks.push_back(st.chosen_val);
-      for (const auto& bv : vs) {
-        if (bv.second.coded &&
-            bv.second.value_id == st.chosen_val.value_id) {
-          chunks.push_back(bv.second);
-        }
-      }
-      if (auto full = reconstruct_from_chunks(chunks)) {
+      if (auto full = reconstruct(st.chosen_val.value_id, &st.chosen_val, vs)) {
         --applied_commands_;
         apply_full(full->kind, full->payload);
         st.proposal_full = std::move(*full);
@@ -303,55 +302,10 @@ void Replica::become_leader() {
 
   for (Slot s = commit_index_; s < next_slot_; ++s) {
     SlotState& st = slot_state(s);
-    if (st.chosen && !st.chosen_val.coded) {
-      // We know the decision and hold the full value: re-publish it.
-      // (Must be chosen_val, not proposal_full — on a slot this node lost
-      // to a competing leader, proposal_full still holds the losing value
-      // and re-publishing it would overwrite the real decision.)
-      propose(s, st.chosen_val);
-      continue;
-    }
-    if (st.chosen && full_payload(st) != nullptr) {
-      // Coded slot where we also hold the matching full value.
-      propose(s, st.proposal_full);
-      continue;
-    }
     auto it = seen.find(s);
-    if (it == seen.end() || it->second.empty()) {
-      Value noop;
-      noop.kind = ValueKind::kNoop;
-      noop.value_id = fresh_value_id();
-      propose(s, noop);
-      continue;
-    }
-    // Highest accepted ballot wins.
-    const auto& vs = it->second;
-    const std::pair<Ballot, Value>* best = &vs.front();
-    for (const auto& bv : vs) {
-      if (bv.first > best->first) best = &bv;
-    }
-    if (!best->second.coded) {
-      propose(s, best->second);
-    } else {
-      // RS-Paxos recovery: collect chunks of the highest-ballot proposal.
-      std::vector<Value> chunks;
-      for (const auto& bv : vs) {
-        if (bv.second.coded && bv.second.value_id == best->second.value_id) {
-          chunks.push_back(bv.second);
-        }
-      }
-      auto full = reconstruct_from_chunks(chunks);
-      if (full) {
-        propose(s, *full);
-      } else {
-        // Fewer than m chunks visible in a prepare quorum: the value cannot
-        // have been chosen (quorum intersection >= m), so noop is safe.
-        Value noop;
-        noop.kind = ValueKind::kNoop;
-        noop.value_id = fresh_value_id();
-        propose(s, noop);
-      }
-    }
+    std::optional<Value> v =
+        recovered_value(st, it == seen.end() ? nullptr : &it->second);
+    propose(s, v ? std::move(*v) : make_noop());
   }
 
   // Ops queued while electing follow the recovered slots.
@@ -387,24 +341,55 @@ Value Replica::make_chunk_value(const Value& full, SharedBytes chunk,
   return v;
 }
 
-std::optional<Value> Replica::reconstruct_from_chunks(
-    const std::vector<Value>& chunks) const {
-  if (chunks.empty()) return std::nullopt;
-  int n = chunks.front().rs_n;
-  if (n < opts_.policy.rs_m) return std::nullopt;
-  const ReedSolomon& rs = ReedSolomon::shared(opts_.policy.rs_m, n);
-  std::vector<ChunkView> have;
-  for (const auto& c : chunks) {
-    if (c.rs_n != n) continue;  // stale mix; matching value_id implies same n
-    have.emplace_back(c.chunk_index, c.payload.vec());
+std::optional<Value> Replica::reconstruct(std::uint64_t value_id,
+                                          const Value* own,
+                                          const Accepted& vs) const {
+  std::vector<const Value*> chunks;
+  if (own != nullptr && own->coded) chunks.push_back(own);
+  for (const auto& bv : vs) {
+    if (bv.second.coded && bv.second.value_id == value_id) {
+      chunks.push_back(&bv.second);
+    }
   }
-  auto data = rs.decode(have, chunks.front().full_size);
+  if (chunks.empty()) return std::nullopt;
+  const Value& first = *chunks.front();
+  if (first.rs_n < opts_.policy.rs_m) return std::nullopt;
+  const ReedSolomon& rs = ReedSolomon::shared(opts_.policy.rs_m, first.rs_n);
+  std::vector<ChunkView> have;
+  for (const Value* c : chunks) {
+    // A re-encode for a config of another size shares the value_id.
+    if (c->rs_n != first.rs_n) continue;
+    have.emplace_back(c->chunk_index, c->payload.vec());
+  }
+  auto data = rs.decode(have, first.full_size);
   if (!data) return std::nullopt;
   Value full;
-  full.kind = chunks.front().kind;
-  full.value_id = chunks.front().value_id;
+  full.kind = first.kind;
+  full.value_id = first.value_id;
   full.payload = std::move(*data);
   return full;
+}
+
+std::optional<Value> Replica::recovered_value(const SlotState& st,
+                                              const Accepted* vs) const {
+  // We know the decision and hold the full value: re-publish it.  (Must be
+  // chosen_val, not proposal_full — on a slot this node lost to a competing
+  // leader, proposal_full still holds the losing value and re-publishing it
+  // would overwrite the real decision.)
+  if (st.chosen && !st.chosen_val.coded) return st.chosen_val;
+  // Coded slot where we also hold the matching full value.
+  if (st.chosen && full_payload(st) != nullptr) return st.proposal_full;
+  if (vs == nullptr || vs->empty()) return std::nullopt;
+  // Highest accepted ballot wins.
+  const std::pair<Ballot, Value>* best = &vs->front();
+  for (const auto& bv : *vs) {
+    if (bv.first > best->first) best = &bv;
+  }
+  if (!best->second.coded) return best->second;
+  // RS-Paxos recovery: decode the highest-ballot proposal from its chunks.
+  // Fewer than m chunks visible in a prepare quorum means the value cannot
+  // have been chosen (quorum intersection >= m), so a noop is safe.
+  return reconstruct(best->second.value_id, nullptr, *vs);
 }
 
 void Replica::propose(Slot slot, Value full_value,
@@ -504,7 +489,8 @@ void Replica::on_accepted(const Message& m) {
                                        static_cast<int>(i))
                     : st.proposal_full;
     if (config_[i] == id_) {
-      decide(m.slot, std::move(c.value));
+      learn(m.slot, std::move(c.value));
+      apply_ready();
     } else {
       net_.send(config_[i], std::move(c));
     }
@@ -521,24 +507,19 @@ void Replica::on_accept_nack(const Message& m) {
 void Replica::on_chosen(Message&& m) {
   leader_ = m.from;
   last_heartbeat_ = sim_.now();
-  SlotState& st = slot_state(m.slot);
-  if (!st.chosen) {
-    st.chosen = true;
-    st.chosen_val = std::move(m.value);
-    if (m.trace_id != 0) st.trace_id = m.trace_id;
-    note_commit_lag(m.slot);
-  }
+  learn(m.slot, std::move(m.value), m.trace_id);
   apply_ready();
 }
 
-void Replica::decide(Slot slot, Value own_value) {
+Replica::SlotState* Replica::learn(Slot slot, Value value,
+                                   std::uint64_t trace_id) {
   SlotState& st = slot_state(slot);
-  if (!st.chosen) {
-    st.chosen = true;
-    st.chosen_val = std::move(own_value);
-    note_commit_lag(slot);
-  }
-  apply_ready();
+  if (st.chosen) return nullptr;
+  st.chosen = true;
+  st.chosen_val = std::move(value);
+  if (trace_id != 0) st.trace_id = trace_id;
+  note_commit_lag(slot);
+  return &st;
 }
 
 /// Distance between a freshly chosen slot and this node's applied prefix —
@@ -587,8 +568,11 @@ void Replica::apply_ready() {
         case ValueKind::kConfig: {
           auto members = decode_config(v.payload);  // never coded
           std::sort(members.begin(), members.end());
+          // A joiner catching up replays configs from before it joined;
+          // only a config that drops a member removes it.
+          const bool was_member = in_config(id_);
           config_ = members;
-          if (!in_config(id_) && alive_) {
+          if (was_member && !in_config(id_) && alive_) {
             // We were removed: leave the group quietly rather than keep
             // timing out and disrupting the survivors with elections.
             // Deferred so the current apply loop finishes cleanly.
@@ -704,46 +688,43 @@ void Replica::on_catchup(const Message& m) {
     return st.chosen_val;
   };
 
-  if (opts_.plane.fast_catchup) {
-    // Fast catch-up: stream the chosen suffix as kCatchupBatch chunks —
-    // install_snapshot over the wire — instead of one kChosen per slot.
-    std::int64_t served = 0;
-    Message batch;
-    batch.type = MsgType::kCatchupBatch;
-    batch.from = id_;
-    batch.ballot = ballot_;
-    batch.commit_index = commit_index_;
-    for (Slot s = m.slot; s < commit_index_; ++s) {
-      auto it = log_.find(s);
-      if (it == log_.end() || !it->second.chosen) continue;
-      batch.promises.push_back(
-          PromiseInfo{s, it->second.acc.accepted, value_for(it->second)});
-      ++served;
-      if (static_cast<int>(batch.promises.size()) >=
-          opts_.plane.catchup_chunk) {
-        net_.send(m.from, std::move(batch));
-        batch.promises.clear();
-      }
-    }
-    if (!batch.promises.empty()) net_.send(m.from, std::move(batch));
-    catchup_slots_served_ += served;
-    if (obs::Registry* reg = obs::metrics()) {
-      reg->det_histogram("paxos.catchup_slots")
-          .observe(static_cast<std::uint64_t>(served));
-    }
-    return;
-  }
-
+  // One walk over the chosen suffix.  Each entry goes out as its own
+  // kChosen or, with fast_catchup, packed into kCatchupBatch messages of up
+  // to catchup_chunk entries.
+  const bool batched = opts_.plane.fast_catchup;
+  std::int64_t served = 0;
+  Message batch;
+  batch.type = MsgType::kCatchupBatch;
+  batch.from = id_;
+  batch.ballot = ballot_;
+  batch.commit_index = commit_index_;
   for (Slot s = m.slot; s < commit_index_; ++s) {
     auto it = log_.find(s);
     if (it == log_.end() || !it->second.chosen) continue;
-    Message c;
-    c.type = MsgType::kChosen;
-    c.from = id_;
-    c.ballot = ballot_;
-    c.slot = s;
-    c.value = value_for(it->second);
-    net_.send(m.from, std::move(c));
+    if (!batched) {
+      Message c;
+      c.type = MsgType::kChosen;
+      c.from = id_;
+      c.ballot = ballot_;
+      c.slot = s;
+      c.value = value_for(it->second);
+      net_.send(m.from, std::move(c));
+      continue;
+    }
+    batch.promises.push_back(
+        PromiseInfo{s, it->second.acc.accepted, value_for(it->second)});
+    ++served;
+    if (static_cast<int>(batch.promises.size()) >= opts_.plane.catchup_chunk) {
+      net_.send(m.from, std::move(batch));
+      batch.promises.clear();
+    }
+  }
+  if (!batched) return;
+  if (!batch.promises.empty()) net_.send(m.from, std::move(batch));
+  catchup_slots_served_ += served;
+  if (obs::Registry* reg = obs::metrics()) {
+    reg->det_histogram("paxos.catchup_slots")
+        .observe(static_cast<std::uint64_t>(served));
   }
 }
 
@@ -751,14 +732,12 @@ void Replica::on_catchup_batch(Message&& m) {
   leader_ = m.from;
   last_heartbeat_ = sim_.now();
   for (auto& p : m.promises) {
-    SlotState& st = slot_state(p.slot);
-    if (st.chosen) continue;
-    st.chosen = true;
-    st.chosen_val = p.value;
-    st.acc.has_value = true;
-    st.acc.value = std::move(p.value);
-    if (p.accepted.valid()) st.acc.accepted = p.accepted;
-    note_commit_lag(p.slot);
+    // A catch-up entry is also this node's acceptor value for the slot.
+    SlotState* st = learn(p.slot, p.value);
+    if (st == nullptr) continue;
+    st->acc.has_value = true;
+    st->acc.value = std::move(p.value);
+    if (p.accepted.valid()) st->acc.accepted = p.accepted;
   }
   apply_ready();
 }
@@ -841,7 +820,7 @@ int Replica::open_slots() const {
 }
 
 void Replica::enqueue(SharedBytes command, Callback cb) {
-  if (batch_queue_.size() >= opts_.plane.max_queued_ops) {
+  if (batch_queue_.size() >= kMaxQueuedOps) {
     // Backpressure: the leader's queue is full — fail fast so the client
     // retries later instead of growing an unbounded backlog.
     if (cb) cb(false, {});
@@ -869,10 +848,10 @@ void Replica::arm_flush() {
   }
   if (flush_armed_) return;
   flush_armed_ = true;
-  // With batch_delay = 0 this still coalesces: the flush event lands after
+  // With kBatchDelay = 0 this still coalesces: the flush event lands after
   // every submission already enqueued at the same instant (FIFO ties), so
   // same-tick arrivals share a slot with zero added latency.
-  sim_.schedule_after(opts_.plane.batch_delay, [this] {
+  sim_.schedule_after(kBatchDelay, [this] {
     flush_armed_ = false;
     flush_batches();
   });
@@ -894,7 +873,7 @@ void Replica::flush_batches() {
     while (!batch_queue_.empty() && static_cast<int>(taken.size()) < cap) {
       QueuedOp& front = batch_queue_.front();
       if (!taken.empty() &&
-          bytes + front.command.size() > opts_.plane.max_batch_bytes) {
+          bytes + front.command.size() > kMaxBatchBytes) {
         break;
       }
       bytes += front.command.size();
@@ -992,21 +971,6 @@ const Value* Replica::chosen_value(Slot s) const {
   auto it = log_.find(s);
   if (it == log_.end() || !it->second.chosen) return nullptr;
   return &it->second.chosen_val;
-}
-
-void Replica::install_snapshot(
-    const std::vector<std::pair<Slot, Value>>& entries,
-    const std::vector<NodeId>& config) {
-  config_ = config;
-  std::sort(config_.begin(), config_.end());
-  for (const auto& [slot, value] : entries) {
-    SlotState& st = slot_state(slot);
-    st.chosen = true;
-    st.chosen_val = value;
-    st.acc.has_value = true;
-    st.acc.value = value;
-  }
-  apply_ready();
 }
 
 // ---------------------------------------------------------------- dispatch

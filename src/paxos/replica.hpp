@@ -17,9 +17,10 @@
 //     quorums intersect in >= m nodes — enough to reconstruct during
 //     recovery (Mu et al., HPDC'14).
 //   * Reconfiguration: membership is itself a log entry (kConfig); once
-//     chosen and applied, later slots use the new member set.  New nodes
-//     are bootstrapped by out-of-band snapshot transfer (Group::add_node),
-//     as Chubby does.
+//     chosen and applied, later slots use the new member set.  A new node
+//     starts with an empty log (Group::add_node) and learns the chosen
+//     prefix by catch-up, as a restarted node does: every chosen value a
+//     node did not decide itself reaches it as a message.
 #pragma once
 
 #include <deque>
@@ -87,6 +88,24 @@ struct QuorumPolicy {
   bool coded() const { return kind == Kind::kRsPaxos; }
 };
 
+/// Fixed protocol timing, in sim-seconds.  The leader heartbeats every
+/// kHeartbeatPeriod; a follower that has heard none for kElectionTimeout
+/// (checked every kElectionTimeout plus per-node jitter) starts an election;
+/// the leader resends the accepts of its undecided slots every kRetryPeriod.
+inline constexpr TimeDelta kHeartbeatPeriod = 2;
+inline constexpr TimeDelta kElectionTimeout = 8;
+inline constexpr TimeDelta kRetryPeriod = 4;
+
+/// Fixed data-plane bounds.  A kBatch value stops at kMaxBatchBytes of
+/// commands (or DataPlaneOptions::max_batch_ops ops).  A batching flush
+/// waits kBatchDelay after it is armed: none, yet it still coalesces, since
+/// the flush event runs after every submission already enqueued at the same
+/// instant (FIFO ties).  Submits beyond kMaxQueuedOps queued-but-unproposed
+/// ops fail fast so clients retry later (leader backpressure).
+inline constexpr std::size_t kMaxBatchBytes = 256 * 1024;
+inline constexpr TimeDelta kBatchDelay = 0;
+inline constexpr std::size_t kMaxQueuedOps = 1 << 16;
+
 /// High-throughput data-plane features.  Every client op takes one path —
 /// queue, flush, propose — and these flags only parameterise it.  All default
 /// OFF: an unbounded window, one op per slot flushed at submit time, no
@@ -106,11 +125,6 @@ struct DataPlaneOptions {
   /// slot commits.
   bool batching = false;
   int max_batch_ops = 64;
-  std::size_t max_batch_bytes = 256 * 1024;
-  /// Extra sim-time the flush waits to fill a batch.  0 still coalesces:
-  /// the flush event runs after every submission already enqueued at the
-  /// same instant (FIFO ties), adding no latency.
-  TimeDelta batch_delay = 0;
   /// Leader leases: heartbeats double as lease offers; a quorum of acks
   /// gives the leader a lease dated from the heartbeat's send instant.
   /// Granting followers refuse prepares and rival lease offers until their
@@ -120,20 +134,14 @@ struct DataPlaneOptions {
   TimeDelta lease_duration = 12;
   /// Fast catch-up: the leader answers kCatchup with kCatchupBatch chunks
   /// (up to `catchup_chunk` chosen entries per message) instead of one
-  /// kChosen per slot — install_snapshot over the wire.
+  /// kChosen per slot.
   bool fast_catchup = false;
   int catchup_chunk = 64;
-  /// Backpressure bound on the leader's queued-but-unproposed ops; submits
-  /// beyond it fail fast so clients retry later.
-  std::size_t max_queued_ops = 1 << 16;
 };
 
 class Replica {
  public:
   struct Options {
-    TimeDelta heartbeat_period = 2;
-    TimeDelta election_timeout = 8;  // + per-node jitter
-    TimeDelta retry_period = 4;
     QuorumPolicy policy;
     DataPlaneOptions plane;
   };
@@ -181,11 +189,8 @@ class Replica {
   /// True while this node leads and its quorum lease is still valid.
   bool holds_lease() const;
 
-  /// Chosen value at a slot, if known (tests, snapshot transfer).
+  /// Chosen value at a slot, if known (tests, offline recovery checks).
   const Value* chosen_value(Slot s) const;
-  /// Installs a snapshot of chosen entries (bootstrap of a fresh node).
-  void install_snapshot(const std::vector<std::pair<Slot, Value>>& entries,
-                        const std::vector<NodeId>& config);
 
   // ---- stats ----
   int elections_started() const { return elections_; }
@@ -269,7 +274,11 @@ class Replica {
   void propose(Slot slot, Value full_value, std::vector<PendingAck> acks = {},
                std::uint64_t trace_id = 0);
   void send_accepts(Slot slot);
-  void decide(Slot slot, Value own_value);
+  /// The one way a chosen value enters this node's log: its own decision
+  /// as leader, a kChosen, or an entry of a kCatchupBatch.  Returns the
+  /// slot's state when `value` is news here, nullptr when the slot was
+  /// already chosen.  Applying is left to apply_ready().
+  SlotState* learn(Slot slot, Value value, std::uint64_t trace_id = 0);
   void note_commit_lag(Slot slot);
   void apply_ready();
   /// Applies the full bytes of a kCommand or kBatch value to the state
@@ -295,8 +304,19 @@ class Replica {
   /// Wraps chunk `chunk_index` of `full`, already encoded, in a coded Value.
   Value make_chunk_value(const Value& full, SharedBytes chunk,
                          int chunk_index) const;
-  std::optional<Value> reconstruct_from_chunks(
-      const std::vector<Value>& chunks) const;
+  /// The (ballot, value) pairs accepted at one slot by the promise quorum
+  /// and by this node, as become_leader gathers them.
+  using Accepted = std::vector<std::pair<Ballot, Value>>;
+  /// The full value `value_id`, decoded from `own` (when coded) followed by
+  /// the coded values of that id in `vs`; nullopt when they are too few.
+  std::optional<Value> reconstruct(std::uint64_t value_id, const Value* own,
+                                   const Accepted& vs) const;
+  /// What a new leader re-proposes at the open slot `st`, given what the
+  /// promise quorum accepted there (`vs`, null when nothing); nullopt means
+  /// nothing can have been chosen there and a noop fills the slot.
+  std::optional<Value> recovered_value(const SlotState& st,
+                                       const Accepted* vs) const;
+  Value make_noop();
   std::uint64_t fresh_value_id();
   /// The full bytes of the value chosen at `st`, or nullptr when this node
   /// holds only its RS chunk (a full proposal that lost the slot does not
@@ -311,7 +331,7 @@ class Replica {
   /// not an elected leader; re-run after every commit.
   void flush_batches();
   /// Flushes now with batching off (one op per slot, nothing to wait for),
-  /// else after `batch_delay`.
+  /// else after kBatchDelay.
   void arm_flush();
   /// Next free slot for a new proposal.
   Slot claim_slot();

@@ -81,8 +81,7 @@ enum class MsgType : std::uint8_t {
   kLeaseAck,      // follower grants the heartbeat's lease offer (leases on);
                   // echoes the heartbeat's `stamp`
   kCatchupBatch,  // fast catch-up: a chunk of chosen entries, carried in
-                  // `promises` as (slot, ballot, value) — the wire form of
-                  // install_snapshot
+                  // `promises` as (slot, ballot, value)
 };
 
 /// Promise payload entry: what an acceptor already accepted for a slot.

@@ -1,5 +1,6 @@
 #include "storage/kv_store.hpp"
 
+#include <algorithm>
 #include <set>
 #include <span>
 #include <stdexcept>
@@ -41,6 +42,46 @@ std::vector<std::uint8_t> get_response(
   auto it = map.find(key);
   if (it == map.end()) return encode_response(KvStatus::kNotFound, {});
   return encode_response(KvStatus::kOk, it->second.span());
+}
+
+/// Every value id in the followers' chunk logs, in commit order.  A
+/// follower applies its slots in order, so its chunk log read by position
+/// is a subsequence of the commit order: it lacks the slots it applied in
+/// full or has not learned.  Merging the subsequences restores the order.
+/// Value ids order only one proposer's stream, so they just break ties
+/// between values that no log orders.
+std::vector<std::uint64_t> commit_order(
+    const std::vector<const KvStoreState*>& followers) {
+  std::map<std::uint64_t, int> preds;  // id -> predecessors not yet merged
+  std::map<std::uint64_t, std::vector<std::uint64_t>> succs;
+  for (const auto* f : followers) {
+    std::vector<std::pair<std::uint64_t, std::uint64_t>> log;  // position, id
+    for (const auto& [id, c] : f->chunks()) log.emplace_back(c.position, id);
+    std::sort(log.begin(), log.end());
+    for (std::size_t i = 0; i < log.size(); ++i) {
+      preds.try_emplace(log[i].second, 0);
+      if (i == 0) continue;
+      succs[log[i - 1].second].push_back(log[i].second);
+      ++preds[log[i].second];
+    }
+  }
+  std::set<std::uint64_t> ready;
+  for (const auto& [id, n] : preds) {
+    if (n == 0) ready.insert(id);
+  }
+  std::vector<std::uint64_t> order;
+  while (!ready.empty()) {
+    const std::uint64_t id = *ready.begin();
+    ready.erase(ready.begin());
+    order.push_back(id);
+    for (std::uint64_t next : succs[id]) {
+      if (--preds[next] == 0) ready.insert(next);
+    }
+  }
+  if (order.size() != preds.size()) {
+    throw std::invalid_argument("chunk logs disagree on commit order");
+  }
+  return order;
 }
 
 }  // namespace
@@ -111,6 +152,7 @@ void KvStoreState::apply_chunk(const paxos::Value& value) {
   c.chunk_index = value.chunk_index;
   c.rs_n = value.rs_n;
   c.full_size = value.full_size;
+  c.position = chunks_applied_++;
   c.bytes = value.payload;
   chunk_bytes_ += c.bytes.size();
   chunks_[value.value_id] = std::move(c);
@@ -134,16 +176,8 @@ std::size_t KvStoreState::reconstruct_into(
   if (static_cast<int>(followers.size()) < rs_m) {
     throw std::invalid_argument("need at least m chunk logs");
   }
-  // Union of value ids seen anywhere, applied in id order.  A proposer's
-  // value ids increase in proposal order (Replica::fresh_value_id), so for
-  // a single-leader stream this reproduces commit order — tests exercise
-  // exactly that scenario.
-  std::set<std::uint64_t> ids;
-  for (const auto* f : followers) {
-    for (const auto& [id, _] : f->chunks()) ids.insert(id);
-  }
   std::size_t recovered = 0;
-  for (std::uint64_t id : ids) {
+  for (std::uint64_t id : commit_order(followers)) {
     std::vector<ChunkView> have;
     paxos::ValueKind kind = paxos::ValueKind::kCommand;
     int rs_n = 0;

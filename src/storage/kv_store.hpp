@@ -56,6 +56,9 @@ struct StoredChunk {
   int chunk_index = -1;
   int rs_n = 0;
   std::uint32_t full_size = 0;
+  /// Where the chunk falls in its store's apply order (0, 1, 2, ...).  A
+  /// replica applies its slots in order, so positions are slot order.
+  std::uint64_t position = 0;
   /// The chosen value's payload itself, shared with the replica's log: the
   /// chunk log adds no bytes of its own.
   SharedBytes bytes;
@@ -89,10 +92,11 @@ class KvStoreState : public paxos::StateMachine {
   const std::map<std::uint64_t, StoredChunk>& chunks() const { return chunks_; }
 
   /// Reconstructs the full command stream from >= m chunk logs (one per
-  /// follower) and folds it into a fresh state — the disaster-recovery path
-  /// that proves any-m-of-n suffices.  Chunk logs must come from distinct
-  /// replicas.  Batched slots (kBatch) unpack into their commands.  Returns
-  /// the number of commands recovered.
+  /// follower) and folds it into a fresh state, in commit order — the
+  /// disaster-recovery path that proves any-m-of-n suffices.  Chunk logs
+  /// must come from distinct replicas.  Batched slots (kBatch) unpack into
+  /// their commands.  Returns the number of commands recovered; throws
+  /// std::invalid_argument when the logs disagree on the order.
   static std::size_t reconstruct_into(
       const std::vector<const KvStoreState*>& followers, int rs_m,
       KvStoreState& out);
@@ -103,6 +107,7 @@ class KvStoreState : public paxos::StateMachine {
   std::map<std::string, ByteSlice> map_;
   std::map<std::uint64_t, StoredChunk> chunks_;  // value_id -> chunk
   std::uint64_t chunk_bytes_ = 0;
+  std::uint64_t chunks_applied_ = 0;
 };
 
 /// Asynchronous client over the Paxos group.

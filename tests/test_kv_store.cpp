@@ -132,6 +132,84 @@ TEST(KvStoreState, ReconstructFromChunkLogs) {
   EXPECT_EQ(out.get("b"), bytes("bravo"));
 }
 
+/// Codes `cmd` as value `value_id` and applies chunk i to follower i, but
+/// for follower `skip` (a follower that applied the slot in full keeps no
+/// chunk of it).
+void replicate_as(std::vector<KvStoreState>& followers, std::uint64_t value_id,
+                  const KvCommand& cmd, int skip = -1) {
+  const int n = static_cast<int>(followers.size());
+  auto encoded = cmd.encode();
+  auto chunks = ReedSolomon::shared(3, n).encode(encoded);
+  for (int i = 0; i < n; ++i) {
+    if (i == skip) continue;
+    paxos::Value v;
+    v.kind = paxos::ValueKind::kCommand;
+    v.value_id = value_id;
+    v.coded = true;
+    v.chunk_index = i;
+    v.rs_n = n;
+    v.full_size = static_cast<std::uint32_t>(encoded.size());
+    v.payload = chunks[static_cast<std::size_t>(i)];
+    followers[static_cast<std::size_t>(i)].apply_chunk(v);
+  }
+}
+
+KvCommand put(const std::string& key, const std::string& value) {
+  KvCommand c;
+  c.op = KvOp::kPut;
+  c.key = key;
+  c.value = bytes(value);
+  return c;
+}
+
+/// The value id node `node` draws for its `n`-th proposal
+/// (Replica::fresh_value_id): the proposer sits in the top bits.
+std::uint64_t value_id(int node, std::uint64_t n) {
+  return (static_cast<std::uint64_t>(node + 1) << 40) | n;
+}
+
+TEST(KvStoreState, ReconstructAppliesInCommitOrderAcrossLeaders) {
+  // A put by node 4, then one by node 3 after a failover: in id order the
+  // first outranks the second, but the rebuilt store must hold the second.
+  std::vector<KvStoreState> followers(5);
+  replicate_as(followers, value_id(4, 1), put("k", "first"));
+  replicate_as(followers, value_id(3, 1), put("k", "second"));
+  KvStoreState out;
+  EXPECT_EQ(KvStoreState::reconstruct_into(
+                {&followers[0], &followers[1], &followers[2]}, 3, out),
+            2u);
+  EXPECT_EQ(out.get("k"), bytes("second"));
+}
+
+TEST(KvStoreState, ReconstructMergesChunkLogsWithGaps) {
+  // Four puts of one key, each by a lower node than the last, and four
+  // logs that each lack a different one: no log holds the whole order, but
+  // every put still has three chunks and the logs together fix the order.
+  std::vector<KvStoreState> followers(5);
+  for (int i = 0; i < 4; ++i) {
+    replicate_as(followers, value_id(4 - i, 1),
+                 put("k", "v" + std::to_string(i)), /*skip=*/i);
+  }
+  KvStoreState out;
+  EXPECT_EQ(KvStoreState::reconstruct_into(
+                {&followers[0], &followers[1], &followers[2], &followers[3]},
+                3, out),
+            4u);
+  EXPECT_EQ(out.get("k"), bytes("v3"));
+}
+
+TEST(KvStoreState, ReconstructRejectsLogsThatDisagreeOnOrder) {
+  std::vector<KvStoreState> one(5), other(5);
+  replicate_as(one, 1, put("x", "1"));
+  replicate_as(one, 2, put("x", "2"));
+  replicate_as(other, 2, put("x", "2"));
+  replicate_as(other, 1, put("x", "1"));
+  KvStoreState out;
+  EXPECT_THROW(
+      KvStoreState::reconstruct_into({&one[0], &one[1], &other[2]}, 3, out),
+      std::invalid_argument);
+}
+
 TEST(KvStoreState, ReconstructNeedsMChunkLogs) {
   KvStoreState a, b, out;
   EXPECT_THROW(KvStoreState::reconstruct_into({&a, &b}, 3, out),

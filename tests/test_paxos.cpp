@@ -238,7 +238,7 @@ TEST_F(PaxosFixture, MembershipGrowsViaConfigEntry) {
       EXPECT_EQ(group.replica(id).config().size(), 4u) << "replica " << id;
     }
   }
-  // The newcomer received the snapshot (seed command applied).
+  // The newcomer caught up over the wire (seed command applied).
   EXPECT_GE(sms[3]->log().size(), 1u);
   // And the grown cluster still commits.
   bool done = false;

@@ -382,6 +382,69 @@ TEST_P(PaxosOpPath, ConfigChangeAcksFireOnceThroughTheSlotAckList) {
   EXPECT_EQ(submit_burst(8, "after-config", 300), 8);
 }
 
+// A joiner starts with an empty log and learns the chosen prefix the way a
+// restarted replica does: heartbeat -> kCatchup -> kChosen, or chunked
+// kCatchupBatch messages under the preset's fast catch-up.
+TEST_P(PaxosOpPath, JoinerLearnsThePrefixByCatchup) {
+  start_cluster();
+  ASSERT_GE(cluster->wait_for_leader(), 0);
+  EXPECT_EQ(submit_burst(80, "pre", 60), 80);
+  NodeId lead = group().leader_id();
+  ASSERT_GE(lead, 0);
+  const Replica& leader = group().replica(lead);
+  const Slot prefix = leader.commit_index();
+  const DataPlaneOptions plane = GetParam()
+                                     ? ClusterHarness::data_plane_preset()
+                                     : DataPlaneOptions{};
+  ASSERT_GT(prefix, plane.catchup_chunk);  // more than one catch-up chunk
+  const std::int64_t served_before = leader.catchup_slots_served();
+
+  bool added = false;
+  group().add_node(5, [&](bool ok, const std::vector<std::uint8_t>&) {
+    added = ok;
+  });
+  EXPECT_EQ(group().replica(5).commit_index(), 0);
+  EXPECT_TRUE(sms[5]->log().empty());
+  sim().run_until(sim().now() + 300);
+  ASSERT_TRUE(added);
+  ASSERT_EQ(group().leader_id(), lead);
+  EXPECT_EQ(group().replica(5).config().size(), 6u);
+  EXPECT_EQ(group().replica(5).commit_index(), leader.commit_index());
+  EXPECT_EQ(sms[5]->log(), sms[lead]->log());
+  if (GetParam()) {
+    EXPECT_GE(leader.catchup_slots_served() - served_before, prefix);
+  }
+
+  // The grown group keeps the joiner in step.
+  EXPECT_EQ(submit_burst(8, "post", 300), 8);
+  EXPECT_EQ(sms[5]->log(), sms[lead]->log());
+}
+
+// A second joiner replays the first join's config, which does not name it,
+// on its way to the config that adds it: only a config that drops a member
+// makes that member leave.
+TEST_P(PaxosOpPath, JoinerReplaysEarlierConfigsAndStays) {
+  start_cluster();
+  ASSERT_GE(cluster->wait_for_leader(), 0);
+  int added = 0;
+  auto count = [&added](bool ok, const std::vector<std::uint8_t>&) {
+    added += ok ? 1 : 0;
+  };
+  group().add_node(5, count);
+  sim().run_until(sim().now() + 300);
+  EXPECT_EQ(submit_burst(80, "mid", 60), 80);
+  group().add_node(6, count);
+  sim().run_until(sim().now() + 300);
+  ASSERT_EQ(added, 2);
+  NodeId lead = group().leader_id();
+  ASSERT_GE(lead, 0);
+  for (NodeId id : {5, 6}) {
+    EXPECT_TRUE(group().replica(id).alive()) << "replica " << id;
+    EXPECT_EQ(group().replica(id).config().size(), 7u) << "replica " << id;
+    EXPECT_EQ(sms[id]->log(), sms[lead]->log()) << "replica " << id;
+  }
+}
+
 }  // namespace
 }  // namespace jupiter::paxos
 

@@ -1,4 +1,4 @@
-// Paxos edge cases: config codec, snapshot installs, group-level deadline
+// Paxos edge cases: config codec, catch-up gaps, group-level deadline
 // failures (no quorum, lost in-flight acks), ballot ordering.
 #include <gtest/gtest.h>
 
@@ -45,26 +45,51 @@ TEST(Ballot, LexicographicOrdering) {
   EXPECT_EQ((Ballot{4, 2}).str(), "4.2");
 }
 
-TEST(Replica, InstallSnapshotAppliesInOrder) {
+// Chosen values a replica did not decide reach it only as messages.  Its
+// applied prefix stops at the first slot it has not learned, however far
+// past it it has learned, and a slot learned twice keeps its first value.
+TEST(Replica, CatchupGapStopsTheAppliedPrefix) {
   Simulator sim;
   SimNetwork net(sim, 1);
   NullSm sm;
   Replica rep(sim, net, 9, {9}, sm, Replica::Options{}, 1);
-  Value v1;
-  v1.kind = ValueKind::kCommand;
-  v1.payload = std::vector<std::uint8_t>{1};
-  Value v2;
-  v2.kind = ValueKind::kCommand;
-  v2.payload = std::vector<std::uint8_t>{2};
-  rep.install_snapshot({{0, v1}, {1, v2}}, {9});
+  rep.start();
+  auto command = [](std::uint8_t byte) {
+    Value v;
+    v.kind = ValueKind::kCommand;
+    v.payload = std::vector<std::uint8_t>{byte};
+    return v;
+  };
+  Message batch;
+  batch.type = MsgType::kCatchupBatch;
+  batch.from = 1;
+  for (Slot s : {0, 1, 3}) {
+    batch.promises.push_back(
+        PromiseInfo{s, Ballot{}, command(static_cast<std::uint8_t>(s + 1))});
+  }
+  net.send(9, batch);
+  sim.run_until(sim.now() + 3);
   EXPECT_EQ(rep.commit_index(), 2);
   EXPECT_EQ(sm.applied, 2);
-  // A gap stops the applied prefix.
-  Value v4;
-  v4.kind = ValueKind::kCommand;
-  v4.payload = std::vector<std::uint8_t>{4};
-  rep.install_snapshot({{3, v4}}, {9});
-  EXPECT_EQ(rep.commit_index(), 2);
+  ASSERT_NE(rep.chosen_value(3), nullptr);
+
+  // The missing slot arrives as a kChosen and the prefix closes over slot 3.
+  Message chosen;
+  chosen.type = MsgType::kChosen;
+  chosen.from = 1;
+  chosen.slot = 2;
+  chosen.value = command(3);
+  net.send(9, chosen);
+  sim.run_until(sim.now() + 3);
+  EXPECT_EQ(rep.commit_index(), 4);
+  EXPECT_EQ(sm.applied, 4);
+
+  chosen.slot = 0;
+  chosen.value = command(99);
+  net.send(9, chosen);
+  sim.run_until(sim.now() + 3);
+  EXPECT_EQ(rep.chosen_value(0)->payload, command(1).payload);
+  EXPECT_EQ(sm.applied, 4);
 }
 
 TEST(Replica, SubmitWhenDeadFailsImmediately) {
