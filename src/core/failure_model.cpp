@@ -133,24 +133,11 @@ void BidCurve::prime_all() const {
     return;
   }
   std::lock_guard<std::mutex> lk(memo_->mu);
-  bool all = true;
-  for (char k : memo_->hit_known) {
-    if (!k) {
-      all = false;
-      break;
-    }
-  }
-  if (all) {
+  if (memo_->hits_complete()) {
     stats_->count_hit();
     return;
   }
-  std::vector<double> curve = chain_->hit_curve(state_, age_, horizon_);
-  for (std::size_t i = 0; i < curve.size(); ++i) {
-    if (!memo_->hit_known[i]) {
-      memo_->hit[i] = curve[i];
-      memo_->hit_known[i] = 1;
-    }
-  }
+  memo_->fill_hits(chain_->hit_curve(state_, age_, horizon_));
   stats_->count_miss();
 }
 
@@ -208,6 +195,35 @@ BidCurve ZoneFailureModel::bid_curve(const MarketZoneState& st,
   return BidCurve(&chain_, state, st.age_minutes, horizon_minutes, st.price,
                   std::min(on_demand_, st.on_demand), fp_prime, estimator_,
                   cache_, std::move(memo));
+}
+
+void ZoneFailureModel::prime(const MarketZoneState& st,
+                             std::span<const int> horizons) const {
+  if (estimator_ != OobEstimator::kFirstPassage) return;
+  int state = chain_.nearest_state(st.price);
+  int age = chain_.clamped_age(state, st.age_minutes);
+  std::vector<int> todo;
+  std::vector<std::shared_ptr<TransientCache::Entry>> memos;
+  for (int h : horizons) {
+    auto memo = cache_->entry(state, age, h, chain_.state_count());
+    std::lock_guard<std::mutex> lk(memo->mu);
+    if (memo->hits_complete()) {
+      cache_->count_hit();
+      continue;
+    }
+    todo.push_back(h);
+    memos.push_back(std::move(memo));
+  }
+  if (todo.empty()) return;
+  // One DP for every horizon still missing, outside the entry locks; a
+  // racing filler computes the same values, so the first one in wins.
+  std::vector<std::vector<double>> curves =
+      chain_.hit_curve(state, st.age_minutes, todo);
+  for (std::size_t k = 0; k < memos.size(); ++k) {
+    std::lock_guard<std::mutex> lk(memos[k]->mu);
+    memos[k]->fill_hits(curves[k]);
+    cache_->count_miss();
+  }
 }
 
 void FailureModelBook::set(int zone, ZoneFailureModel model) {

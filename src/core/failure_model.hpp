@@ -18,6 +18,7 @@
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "core/market_state.hpp"
@@ -162,6 +163,15 @@ class ZoneFailureModel {
   /// baseline failure probabilities share one model and its cache.
   BidCurve bid_curve(const MarketZoneState& st, int horizon_minutes,
                      double fp_prime) const;
+
+  /// Fills the first-passage cache entries of `st` at every horizon in
+  /// `horizons` (minutes) with one transient analysis
+  /// (SemiMarkovChain::hit_curve over the set), so bid curves at those
+  /// horizons answer every threshold from the cache.  Entries already
+  /// complete are left alone.  The values equal the lazily computed ones
+  /// bit for bit, so priming changes no decision.  No-op for the occupancy
+  /// estimator, whose curves stay lazy.
+  void prime(const MarketZoneState& st, std::span<const int> horizons) const;
 
   PriceTick on_demand() const { return on_demand_; }
   double fp_prime() const { return fp_prime_; }

@@ -1,5 +1,7 @@
 #include "core/transient_cache.hpp"
 
+#include <algorithm>
+
 namespace jupiter {
 
 std::shared_ptr<TransientCache::Entry> TransientCache::entry(int state,
@@ -17,6 +19,19 @@ std::shared_ptr<TransientCache::Entry> TransientCache::entry(int state,
   e->hit_known.assign(static_cast<std::size_t>(state_count), 0);
   entries_.emplace(key, e);
   return e;
+}
+
+bool TransientCache::Entry::hits_complete() const {
+  return std::find(hit_known.begin(), hit_known.end(), 0) == hit_known.end();
+}
+
+void TransientCache::Entry::fill_hits(const std::vector<double>& curve) {
+  for (std::size_t i = 0; i < curve.size(); ++i) {
+    if (!hit_known[i]) {
+      hit[i] = curve[i];
+      hit_known[i] = 1;
+    }
+  }
 }
 
 void TransientCache::invalidate() {

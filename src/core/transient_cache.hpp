@@ -9,8 +9,14 @@
 // held longer than any observed sojourn, consecutive decisions map to the
 // same entry even though the raw age keeps growing.
 //
-// Entries are filled lazily under a per-entry mutex (the parallel sweep and
-// the parallel exhaustive search may evaluate curves from worker threads).
+// Entries are filled under a per-entry mutex (the parallel sweep and the
+// parallel exhaustive search may evaluate curves from worker threads), in
+// one of two ways.  Lazily: a curve fills the thresholds it probes
+// (hit_one) or, primed, the whole entry (hit_curve).  Or ahead of a batch:
+// ZoneFailureModel::prime fills the entries of several horizons for one
+// (state, clamped age) with a single multi-horizon DP, which is how a
+// fleet cluster prepares its shared models before each decide batch.
+// Either way an entry's values are the same bit for bit.
 // Hit/miss counters are cumulative for the life of the cache; the
 // strategy publishes them as the core.cache_hits / core.cache_misses /
 // core.cache_hit_rate gauges.
@@ -40,6 +46,12 @@ class TransientCache {
     // Occupancy exceedance curve; one forward pass fills it whole.
     std::vector<double> exceed;
     bool exceed_filled = false;
+
+    /// Whether every threshold's first-passage value is known.  Hold mu.
+    bool hits_complete() const;
+    /// Fills the thresholds not yet known from a whole hit_curve().  Known
+    /// ones keep their value (equal bit for bit anyway).  Hold mu.
+    void fill_hits(const std::vector<double>& curve);
   };
 
   struct Stats {

@@ -39,6 +39,18 @@ const FailureModelBook& WarmFailureModels::advance_to(
   return models_;
 }
 
+void WarmFailureModels::prime(const MarketSnapshot& snapshot,
+                              std::span<const int> horizons,
+                              ThreadPool& pool) const {
+  // Reads the models without mu_, as advance_to()'s callers do: no sharer
+  // trains while the owner is being primed.
+  // par: owned — zone i fills only its own model's cache
+  parallel_for(pool, snapshot.size(), [&](std::size_t i) {
+    const MarketZoneState& st = snapshot[i];
+    if (models_.has(st.zone)) models_.model(st.zone).prime(st, horizons);
+  });
+}
+
 void WarmFailureModels::set_incremental(bool on) {
   std::lock_guard<std::mutex> lk(mu_);
   incremental_ = on;

@@ -20,11 +20,14 @@
 #pragma once
 
 #include <mutex>
+#include <span>
 #include <vector>
 
 #include "cloud/trace_book.hpp"
 #include "core/failure_model.hpp"
+#include "core/market_state.hpp"
 #include "util/shared_state_audit.hpp"
+#include "util/thread_pool.hpp"
 
 namespace jupiter {
 
@@ -52,6 +55,18 @@ class WarmFailureModels {
   /// owners on the cluster thread before each decide batch.
   const FailureModelBook& advance_to(const std::vector<int>& zones,
                                      SimTime now);
+
+  /// Fills the first-passage caches of every zone in `snapshot` at every
+  /// horizon in `horizons` (minutes): one transient analysis per zone
+  /// serves the whole set (ZoneFailureModel::prime), zones in parallel on
+  /// `pool`.  Call after advance_to() at the snapshot's time, before the
+  /// decisions that read the models, with no sharer deciding meanwhile;
+  /// the fleet primes each owner on the cluster thread before each decide
+  /// batch, so every curve the batch reads at those horizons is a cache
+  /// hit.  Decisions are unchanged: the cached values are the ones the
+  /// curves would have computed lazily.
+  void prime(const MarketSnapshot& snapshot, std::span<const int> horizons,
+             ThreadPool& pool) const;
 
   InstanceKind kind() const { return kind_; }
 

@@ -251,17 +251,52 @@ class Cluster {
     for (std::size_t i = 0; i < services_.size(); ++i) {
       if (services_[i].next_decide == t) due.push_back(i);
     }
-    struct Slot {
-      StrategyDecision decision;
-      TimeDelta interval = 0;
-    };
-    std::vector<Slot> slots(due.size());
-    // The shared failure models train here, on the cluster thread, before
-    // the batch: inside it every Jupiter service's advance_to(t) finds its
-    // owner already at t and only reads the models.
-    for (std::size_t i : due) {
-      if (WarmFailureModels* m = services_[i].models) m->advance_to(zones_, t);
+    // Each due service's interval, and one snapshot per instance kind.  The
+    // adaptive interval depends only on (kind, zones, t), so it is chosen
+    // once per kind here rather than once per service inside the batch.
+    std::vector<TimeDelta> intervals(due.size());
+    std::map<InstanceKind, MarketSnapshot> snapshots;
+    std::map<InstanceKind, TimeDelta> adaptive;
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      const ServiceConfig& cfg = services_[due[i]].cfg;
+      InstanceKind kind = cfg.strategy.spec.kind;
+      if (!snapshots.count(kind)) {
+        snapshots[kind] = snapshot_at(shared_, kind, zones_, t);
+      }
+      intervals[i] = cfg.interval;
+      if (cfg.adaptive_interval) {
+        auto [it, fresh] = adaptive.try_emplace(kind, 0);
+        if (fresh) {
+          it->second = snap_interval(choose_interval(shared_, kind, zones_, t));
+        }
+        intervals[i] = it->second;
+      }
     }
+    // The shared failure models train and prime here, on the cluster
+    // thread, before the batch.  Each owner is primed once for the sorted
+    // set of its due services' horizons: per zone, one DP fills the cache
+    // entry of every horizon.  Inside the batch every Jupiter service's
+    // advance_to(t) finds its owner already at t, and its held check and
+    // bid search only hit the cache.
+    std::vector<std::pair<WarmFailureModels*, std::vector<int>>> owners;
+    for (std::size_t i = 0; i < due.size(); ++i) {
+      WarmFailureModels* m = services_[due[i]].models;
+      if (!m) continue;
+      auto it = std::find_if(owners.begin(), owners.end(),
+                             [m](const auto& o) { return o.first == m; });
+      if (it == owners.end()) {
+        m->advance_to(zones_, t);
+        it = owners.insert(owners.end(), {m, {}});
+      }
+      it->second.push_back(static_cast<int>(intervals[i] / kMinute));
+    }
+    for (auto& [m, horizons] : owners) {
+      std::sort(horizons.begin(), horizons.end());
+      horizons.erase(std::unique(horizons.begin(), horizons.end()),
+                     horizons.end());
+      m->prime(snapshots.at(m->kind()), horizons, pool_);
+    }
+    std::vector<StrategyDecision> decisions(due.size());
     // Each index fills its own pre-allocated decision slot and only reads
     // the shared failure models (their transient caches are mutex-guarded);
     // decisions are applied in service order afterwards.
@@ -273,27 +308,19 @@ class Cluster {
       // size; the single-service replay path still records them.
       obs::ContextScope quiet(nullptr);
       ServiceState& s = services_[due[i]];
-      TimeDelta iv = s.cfg.interval;
-      if (s.cfg.adaptive_interval) {
-        iv = snap_interval(choose_interval(
-            shared_, s.cfg.strategy.spec.kind, zones_, t));
-      }
       if (s.is_jupiter) {
         static_cast<JupiterStrategy*>(s.strategy.get())
-            ->set_horizon_minutes(static_cast<int>(iv / kMinute));
+            ->set_horizon_minutes(static_cast<int>(intervals[i] / kMinute));
       }
-      MarketSnapshot snapshot =
-          snapshot_at(shared_, s.cfg.strategy.spec.kind, zones_, t);
-      slots[i].decision =
-          s.strategy->decide(snapshot, t, held_bids(s.holdings, t, arena()));
-      slots[i].interval = iv;
+      decisions[i] = s.strategy->decide(
+          snapshots.at(s.cfg.strategy.spec.kind), t,
+          held_bids(s.holdings, t, arena()));
     });
     // 5. Apply the decisions in service order: terminate and bill retired
     //    holdings, register new spot requests (pending until the clearing),
     //    launch on-demand nodes, open the next interval.
     for (std::size_t i = 0; i < due.size(); ++i) {
-      apply_decision(services_[due[i]], slots[i].decision, slots[i].interval,
-                     t);
+      apply_decision(services_[due[i]], decisions[i], intervals[i], t);
     }
     // 6. Clear every market at this epoch, in market order; resolve the
     //    pending requests and clearing-price kills.

@@ -424,10 +424,55 @@ double SemiMarkovChain::hit_one(int state, int age, int horizon,
 
 std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
                                                int horizon) const {
+  return std::move(hit_curve(state, age, {&horizon, 1}).front());
+}
+
+std::vector<std::vector<double>> SemiMarkovChain::hit_curve(
+    int state, int age, std::span<const int> horizons) const {
   if (survival_dirty_) throw std::logic_error("call normalize_rows() first");
-  if (horizon <= 0) throw std::invalid_argument("horizon must be positive");
+  std::vector<int> hs(horizons.begin(), horizons.end());
+  std::sort(hs.begin(), hs.end());
+  hs.erase(std::unique(hs.begin(), hs.end()), hs.end());
+  if (hs.empty()) return {};
+  if (hs.front() <= 0) throw std::invalid_argument("horizon must be positive");
   const int n = state_count();
-  const int H = horizon;
+  const auto np = static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) + 1) / 2;
+  // The horizons whose (horizon x state-pair) table fits share one DP at
+  // the largest of them; each longer one falls back to per-threshold DPs.
+  constexpr std::size_t kMaxTable = std::size_t{1} << 23;
+  std::size_t fit = 0;
+  while (fit < hs.size() &&
+         (static_cast<std::size_t>(hs[fit]) + 1) * np <= kMaxTable) {
+    ++fit;
+  }
+  std::vector<std::vector<double>> curves;  // aligned with hs
+  curves.reserve(hs.size());
+  if (fit > 0) hit_curves_batched(state, age, {hs.data(), fit}, curves);
+  for (std::size_t k = fit; k < hs.size(); ++k) {
+    std::vector<double> hit(static_cast<std::size_t>(n), 0.0);
+    for (int b = 0; b < n; ++b) {
+      hit[static_cast<std::size_t>(b)] = hit_one(state, age, hs[k], b);
+    }
+    curves.push_back(std::move(hit));
+  }
+  if (std::equal(hs.begin(), hs.end(), horizons.begin(), horizons.end())) {
+    return curves;  // the input was already a sorted set
+  }
+  std::vector<std::vector<double>> out;
+  out.reserve(horizons.size());
+  for (int h : horizons) {
+    auto k = std::lower_bound(hs.begin(), hs.end(), h) - hs.begin();
+    out.push_back(curves[static_cast<std::size_t>(k)]);
+  }
+  return out;
+}
+
+void SemiMarkovChain::hit_curves_batched(
+    int state, int age, std::span<const int> hs,
+    std::vector<std::vector<double>>& curves) const {
+  const int n = state_count();
+  const auto K = hs.size();
+  const int H = hs.back();
 
   // Batched first passage for every threshold at once: one flat table runs
   // the per-threshold restricted DPs in lockstep.  Each minute's slice is
@@ -435,22 +480,20 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
   // For each fixed b the seeding, the kMassEps cell skip, the survival
   // products and the accumulation order are exactly hit_one()'s, so the
   // curve equals the per-threshold values bit for bit.
+  //
+  // Every horizon shares the propagation, run once to the largest one H.
+  // A cell at minute t only ever receives mass from minutes before t, so
+  // slices 1..h hold the same values (added in the same order) whatever H
+  // is, and horizon h's accumulator no_hit[k] collects exactly the terms of
+  // a single-horizon run: its own start term plus m * S_j(h - t) for every
+  // live (t, j) with t <= h.
   const auto np = static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) + 1) / 2;
-  const std::size_t table = (static_cast<std::size_t>(H) + 1) * np;
-  if (table > (std::size_t{1} << 23)) {
-    // Table would not fit comfortably; fall back to per-threshold DPs.
-    std::vector<double> hit(static_cast<std::size_t>(n), 0.0);
-    for (int b = 0; b < n; ++b) {
-      hit[static_cast<std::size_t>(b)] = hit_one(state, age, horizon, b);
-    }
-    return hit;
-  }
   auto row0 = [n](int j) {
     return static_cast<std::size_t>(j * (2 * n - j - 1) / 2);
   };
 
-  std::vector<double> entries(table, 0.0);  // flat [t][row0(j) + b]
-  std::vector<double> no_hit(static_cast<std::size_t>(n), 0.0);
+  std::vector<double> entries((static_cast<std::size_t>(H) + 1) * np, 0.0);
+  std::vector<double> no_hit(K * static_cast<std::size_t>(n), 0.0);  // [k][b]
   std::vector<double> masked(static_cast<std::size_t>(n), 0.0);
   double* mm = masked.data();
 
@@ -459,8 +502,11 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
   if (sa <= 0.0) sa = 1.0;
 
   // Never leaves the initial state within the horizon.
-  double stay = survival(state, a + H) / sa;
-  for (int b = state; b < n; ++b) no_hit[static_cast<std::size_t>(b)] = stay;
+  for (std::size_t k = 0; k < K; ++k) {
+    double stay = survival(state, a + hs[k]) / sa;
+    double* nh = no_hit.data() + k * static_cast<std::size_t>(n);
+    for (int b = state; b < n; ++b) nh[b] = stay;
+  }
   for (const auto& tr : row(state)) {
     if (tr.sojourn <= a) continue;
     if (tr.sojourn - a > H) break;  // inside survival(state, a + H)
@@ -476,7 +522,9 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
   // or below kMassEps are masked to +0.0 once per (t, j), so the b loops are
   // contiguous and branch-free: adding +0.0 to a non-negative cell is exact
   // while prob and survival are finite and non-negative.
+  std::size_t k0 = 0;  // first horizon still running at minute t
   for (int t = 1; t <= H; ++t) {
+    while (hs[k0] < t) ++k0;
     const double* slice = entries.data() + static_cast<std::size_t>(t) * np;
     for (int j = 0; j < n; ++j) {
       const int b0 = std::max(state, j);
@@ -487,13 +535,18 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
         live |= mm[b] > 0.0;
       }
       if (!live) continue;
-      const double surv_j = survival(j, H - t);
-      for (int b = b0; b < n; ++b) {
-        no_hit[static_cast<std::size_t>(b)] += mm[b] * surv_j;
+      // survival(j, h - t), read from j's row once for every horizon.
+      const std::vector<double>& surv = survival_[static_cast<std::size_t>(j)];
+      for (std::size_t k = k0; k < K; ++k) {
+        const auto d = static_cast<std::size_t>(hs[k] - t);
+        const double surv_j =
+            surv.empty() ? 1.0 : (d < surv.size() ? surv[d] : 0.0);
+        double* nh = no_hit.data() + k * static_cast<std::size_t>(n);
+        for (int b = b0; b < n; ++b) nh[b] += mm[b] * surv_j;
       }
       for (const auto& tr : row(j)) {
         int tt = t + tr.sojourn;
-        if (tt > H) break;  // inside survival(j, H - t) above
+        if (tt > H) break;  // inside every survival(j, h - t) above
         double* dst =
             entries.data() + static_cast<std::size_t>(tt) * np + row0(tr.next);
         // next > b escapes threshold b within the horizon.
@@ -504,14 +557,15 @@ std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
     }
   }
 
-  std::vector<double> hit(static_cast<std::size_t>(n), 0.0);
-  for (int b = 0; b < n; ++b) {
-    hit[static_cast<std::size_t>(b)] =
-        b < state
-            ? 1.0
-            : std::clamp(1.0 - no_hit[static_cast<std::size_t>(b)], 0.0, 1.0);
+  for (std::size_t k = 0; k < K; ++k) {
+    const double* nh = no_hit.data() + k * static_cast<std::size_t>(n);
+    std::vector<double> hit(static_cast<std::size_t>(n), 0.0);
+    for (int b = 0; b < n; ++b) {
+      hit[static_cast<std::size_t>(b)] =
+          b < state ? 1.0 : std::clamp(1.0 - nh[b], 0.0, 1.0);
+    }
+    curves.push_back(std::move(hit));
   }
-  return hit;
 }
 
 double SemiMarkovChain::hit_probability(int state, int age, int horizon,

@@ -165,6 +165,16 @@ class SemiMarkovChain {
   /// large.
   std::vector<double> hit_curve(int state, int age, int horizon) const;
 
+  /// First-passage curves for several horizons from one DP: result[i] is
+  /// hit_curve(state, age, horizons[i]), bit for bit.  The entry
+  /// propagation runs once, to the largest horizon; each horizon keeps its
+  /// own no-escape accumulator over the minutes up to it.  Horizons may
+  /// repeat and come in any order; each must be positive.  Those whose
+  /// table is too large for the batched kernel fall back to per-threshold
+  /// hit_one() calls.
+  std::vector<std::vector<double>> hit_curve(
+      int state, int age, std::span<const int> horizons) const;
+
   /// Single-threshold first passage: Pr(price leaves the set
   /// {states <= threshold_index} within `horizon` minutes.  The building
   /// block of hit_curve(); exposed so callers can evaluate lazily (the
@@ -186,6 +196,11 @@ class SemiMarkovChain {
   std::vector<double> stationary_occupancy() const;
 
  private:
+  /// The batched kernel behind hit_curve(): appends one curve per horizon
+  /// of `hs` (sorted, unique, positive, table within bounds at hs.back())
+  /// to `curves`.
+  void hit_curves_batched(int state, int age, std::span<const int> hs,
+                          std::vector<std::vector<double>>& curves) const;
   void rebuild_survival();
   void rebuild_survival_row(int state);
   int clamp_age(int state, int age) const;

@@ -6,12 +6,15 @@
 // through its public API.  Every double the live kernel returns must match
 // them byte for byte: the failure model caches these curves and the bidder
 // compares them, so one ulp can move a decision and an EXPERIMENTS.md cent.
-// The second half pins the invariant the live kernel's early exit rests on:
+// The multi-horizon entry point must return, for each horizon of its set,
+// exactly the single-horizon reference curve.  The second half pins the
+// invariant the live kernel's early exit rests on:
 // every kernel row stays sorted by (sojourn, next).
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -252,6 +255,103 @@ TEST(TransientDpOracle, ChainWithAbsorbingStateMatchesReference) {
   Tally tally;
   compare_all(chain, "absorbing", tally);
   EXPECT_EQ(tally.mismatched, 0) << "first: " << tally.first;
+}
+
+/// The multi-horizon kernel: every curve of hit_curve(state, age, set) must
+/// equal the single-horizon reference at that horizon, byte for byte, with
+/// the result aligned to the set's order (duplicates included).
+void compare_sets(const SemiMarkovChain& chain, const std::string& label,
+                  const std::vector<std::vector<int>>& sets,
+                  const std::vector<int>& states, const std::vector<int>& ages,
+                  Tally& tally) {
+  const int n = chain.state_count();
+  for (int state : states) {
+    for (int age : ages) {
+      std::map<int, std::vector<double>> want;  // reference per horizon
+      for (const std::vector<int>& set : sets) {
+        std::vector<std::vector<double>> got = chain.hit_curve(state, age, set);
+        ASSERT_EQ(got.size(), set.size());
+        for (std::size_t k = 0; k < set.size(); ++k) {
+          const int h = set[k];
+          auto it = want.find(h);
+          if (it == want.end()) {
+            it = want.emplace(h, ReferenceHitCurve(chain, state, age, h)).first;
+          }
+          ASSERT_EQ(got[k].size(), static_cast<std::size_t>(n));
+          for (int b = 0; b < n; ++b) {
+            const auto i = static_cast<std::size_t>(b);
+            ++tally.compared;
+            if (same_bits(got[k][i], it->second[i])) continue;
+            if (tally.mismatched++ == 0) {
+              std::ostringstream os;
+              os.precision(17);
+              os << label << " state=" << state << " age=" << age
+                 << " H=" << h << " (set index " << k << ") b=" << b
+                 << " got=" << got[k][i] << " want=" << it->second[i];
+              tally.first = os.str();
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+std::vector<int> every_state(const SemiMarkovChain& chain) {
+  std::vector<int> states(static_cast<std::size_t>(chain.state_count()));
+  for (int s = 0; s < chain.state_count(); ++s) {
+    states[static_cast<std::size_t>(s)] = s;
+  }
+  return states;
+}
+
+TEST(TransientDpOracle, SeveralHorizonsMatchReferenceBitForBit) {
+  const std::vector<std::vector<int>> sets = {
+      {1}, {60, 180, 360, 540, 720}, {360, 60, 720, 1, 60, 540, 360}};
+  Tally tally;
+  SpotTrace trace = zone_trace(3);
+  std::vector<std::pair<std::string, SemiMarkovChain>> chains;
+  chains.emplace_back("trained", SemiMarkovChain::estimate(trace));
+  chains.emplace_back("memoryless",
+                      SemiMarkovChain::estimate(zone_trace(6)).to_memoryless());
+  const SimTime split = kStart + kDay;
+  SemiMarkovChain extended =
+      SemiMarkovChain::estimate(trace.slice(kStart, split));
+  const int before = extended.state_count();
+  extended.extend(trace, split, kEnd);
+  ASSERT_GT(extended.state_count(), before);
+  chains.emplace_back("extended", std::move(extended));
+  SpotTrace absorbing = zone_trace(5);
+  absorbing.append(absorbing.points().back().at + 90 * kMinute,
+                   PriceTick(9999));
+  chains.emplace_back("absorbing", SemiMarkovChain::estimate(absorbing));
+  ASSERT_TRUE(chains.back().second.is_absorbing(
+      chains.back().second.state_count() - 1));
+  for (const auto& [label, chain] : chains) {
+    const int beyond = longest_sojourn(chain) + 1;
+    compare_sets(chain, label, sets, every_state(chain), {0, 90, beyond},
+                 tally);
+  }
+
+  // 200 states: the 60-minute table (61 x 20,100 cells) runs batched, the
+  // 720-minute one (721 x 20,100 > 2^23) falls back to per-threshold DPs.
+  constexpr int kStates = 200;
+  std::vector<PriceTick> prices;
+  for (int i = 0; i < kStates; ++i) prices.push_back(PriceTick(100 + 3 * i));
+  SemiMarkovChain wide(prices);
+  for (int i = 0; i < kStates; ++i) {
+    wide.add_transition(i, (i + 1) % kStates, 1 + (i * 13) % 47, 3.0);
+    wide.add_transition(i, (i + kStates - 1) % kStates, 2 + (i * 7) % 90, 2.0);
+    wide.add_transition(i, (i * 37 + 11) % kStates, 30 + (i * 31) % 400, 1.0);
+  }
+  wide.normalize_rows();
+  const std::size_t np = std::size_t{kStates} * (kStates + 1) / 2;
+  ASSERT_LE(61 * np, std::size_t{1} << 23);
+  ASSERT_GT(721 * np, std::size_t{1} << 23);
+  compare_sets(wide, "fallback", {{720, 60, 720}}, {57, 150}, {0}, tally);
+
+  EXPECT_EQ(tally.mismatched, 0) << "first: " << tally.first;
+  EXPECT_GT(tally.compared, 0);
 }
 
 /// The kernel's early exit needs every row strictly ordered by

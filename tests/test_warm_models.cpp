@@ -3,15 +3,18 @@
 // The contract under test: a JupiterStrategy that reads its models through
 // an owner shared with other services — different FP', horizons and
 // cadences, deciding concurrently on one clock — returns exactly what a
-// strategy with private models returns.  Sharing is a cost change only.
+// strategy with private models returns.  Sharing is a cost change only, and
+// so is priming a shared owner's caches before a batch of decisions.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <iterator>
 #include <memory>
 #include <stdexcept>
 
 #include "core/strategies.hpp"
 #include "core/warm_models.hpp"
+#include "replay/adaptive.hpp"
 #include "replay/workloads.hpp"
 #include "util/shared_state_audit.hpp"
 #include "util/thread_pool.hpp"
@@ -38,9 +41,9 @@ struct Step {
   BidDecision last;
 };
 
-ServiceSpec spec_for(const Sharer& s) {
+ServiceSpec spec_for(double baseline_fp) {
   ServiceSpec spec = ServiceSpec::lock_service();
-  spec.baseline_fp = s.baseline_fp;
+  spec.baseline_fp = baseline_fp;
   return spec;
 }
 
@@ -112,9 +115,9 @@ TEST(SharedWarmModels, ConcurrentSharersDecideLikePrivateModels) {
     OnlineBidder::Options bopts;
     bopts.horizon_minutes = s.horizon_minutes;
     priv.push_back(std::make_unique<JupiterStrategy>(
-        sc.book, spec_for(s), sc.history_start, bopts));
-    shared.push_back(
-        std::make_unique<JupiterStrategy>(owner, spec_for(s), bopts));
+        sc.book, spec_for(s.baseline_fp), sc.history_start, bopts));
+    shared.push_back(std::make_unique<JupiterStrategy>(
+        owner, spec_for(s.baseline_fp), bopts));
   }
   auto want = drive(sc, priv, /*concurrent=*/false);
   auto got = drive(sc, shared, /*concurrent=*/true);
@@ -139,6 +142,89 @@ TEST(SharedWarmModels, ConcurrentSharersDecideLikePrivateModels) {
   TransientCache::Stats stats = owner->cache_stats();
   EXPECT_GT(stats.hits, 0u);
   EXPECT_TRUE(SharedStateAuditor::drain().empty());
+}
+
+// A fleet decide batch: services at 3 h and 6 h and one on the adaptive
+// interval share an owner that is primed once per batch for the sorted set
+// of the due services' horizons, as the fleet's cluster thread does.
+TEST(SharedWarmModels, BatchPrimingDecidesLikeLazyCurves) {
+  Scenario sc = make_scenario(InstanceKind::kM1Small, 1, 1, 321);
+  struct Member {
+    double baseline_fp;
+    TimeDelta interval;  // 0 = adaptive, chosen at each decision
+  };
+  constexpr Member kMembers[] = {
+      {0.01, 3 * kHour}, {0.005, 6 * kHour}, {0.02, 0}};
+  constexpr std::size_t kN = std::size(kMembers);
+
+  auto owner = std::make_shared<WarmFailureModels>(
+      sc.book, InstanceKind::kM1Small, sc.history_start);
+  std::vector<std::unique_ptr<JupiterStrategy>> lazy, primed;
+  for (const Member& m : kMembers) {
+    lazy.push_back(std::make_unique<JupiterStrategy>(
+        sc.book, spec_for(m.baseline_fp), sc.history_start,
+        OnlineBidder::Options{}));
+    primed.push_back(std::make_unique<JupiterStrategy>(
+        owner, spec_for(m.baseline_fp), OnlineBidder::Options{}));
+  }
+
+  ThreadPool one(1);
+  std::vector<SimTime> next(kN, sc.replay_start);
+  std::vector<std::vector<ZoneBid>> held_lazy(kN), held_primed(kN);
+  int batches = 0;
+  int horizon_sets = 0;  // batches priming two or more horizons
+  std::uint64_t primed_misses = 0;
+  for (SimTime t = sc.replay_start; t < sc.replay_end; t = t + kHour) {
+    std::vector<std::size_t> due;
+    std::vector<int> horizon(kN, 0);
+    for (std::size_t i = 0; i < kN; ++i) {
+      if (next[i] != t) continue;
+      TimeDelta iv = kMembers[i].interval;
+      if (iv == 0) {
+        iv = choose_interval(sc.book, InstanceKind::kM1Small, sc.zones, t);
+      }
+      horizon[i] = static_cast<int>(iv / kMinute);
+      next[i] = t + iv;
+      due.push_back(i);
+    }
+    if (due.empty()) continue;
+    MarketSnapshot snap =
+        snapshot_at(sc.book, InstanceKind::kM1Small, sc.zones, t);
+
+    std::vector<int> horizons;
+    for (std::size_t i : due) horizons.push_back(horizon[i]);
+    std::sort(horizons.begin(), horizons.end());
+    horizons.erase(std::unique(horizons.begin(), horizons.end()),
+                   horizons.end());
+    std::uint64_t before = owner->cache_stats().misses;
+    owner->advance_to(sc.zones, t);
+    owner->prime(snap, horizons, one);
+    std::uint64_t after_prime = owner->cache_stats().misses;
+    primed_misses += after_prime - before;
+    ++batches;
+    if (horizons.size() > 1) ++horizon_sets;
+
+    for (std::size_t i : due) {
+      const std::string where =
+          "member " + std::to_string(i) + " at " + t.str();
+      lazy[i]->set_horizon_minutes(horizon[i]);
+      primed[i]->set_horizon_minutes(horizon[i]);
+      Step want{lazy[i]->decide(snap, t, held_lazy[i]),
+                lazy[i]->last_decision()};
+      Step got{primed[i]->decide(snap, t, held_primed[i]),
+               primed[i]->last_decision()};
+      expect_same(want, got, where);
+      held_lazy[i] = want.decision.spot_bids;
+      held_primed[i] = got.decision.spot_bids;
+    }
+    // Every curve the batch read was already in the cache.
+    EXPECT_EQ(owner->cache_stats().misses, after_prime)
+        << "batch at " << t.str();
+  }
+  EXPECT_GT(batches, 0);
+  EXPECT_GT(horizon_sets, 0);
+  EXPECT_GT(primed_misses, 0u);
+  EXPECT_GT(owner->cache_stats().hits, 0u);
 }
 
 TEST(SharedWarmModels, RewindingTheTrainedTailThrows) {
