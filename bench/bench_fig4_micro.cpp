@@ -14,6 +14,8 @@
 
 #include <cstdio>
 #include <optional>
+#include <utility>
+#include <vector>
 
 #include "cloud/region.hpp"
 #include "core/failure_model.hpp"
@@ -122,6 +124,62 @@ void BM_stationary_occupancy(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_stationary_occupancy);
+
+/// The chains the paper's lock-service replay bids on: every experiment
+/// zone's m1.small model trained on 13 weeks of synthetic prices.
+const std::vector<SemiMarkovChain>& trained_chains() {
+  static const std::vector<SemiMarkovChain> chains = [] {
+    Scenario sc = make_scenario(InstanceKind::kM1Small, 13, 0, kExperimentSeed);
+    std::vector<SemiMarkovChain> out;
+    for (int z : sc.zones) {
+      out.push_back(SemiMarkovChain::estimate(
+          sc.book.trace(z, InstanceKind::kM1Small)));
+    }
+    return out;
+  }();
+  return chains;
+}
+
+/// Every (chain, current state) pair of trained_chains(), in order.
+std::vector<std::pair<const SemiMarkovChain*, int>> chain_states() {
+  std::vector<std::pair<const SemiMarkovChain*, int>> out;
+  for (const SemiMarkovChain& c : trained_chains()) {
+    for (int s = 0; s < c.state_count(); ++s) out.emplace_back(&c, s);
+  }
+  return out;
+}
+
+/// One whole first-passage curve per iteration, cycling through every
+/// (chain, current state) pair; Arg is the horizon in minutes.
+void BM_hit_curve(benchmark::State& state) {
+  const auto pairs = chain_states();
+  const int horizon = static_cast<int>(state.range(0));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [chain, s] = pairs[i];
+    benchmark::DoNotOptimize(chain->hit_curve(s, 0, horizon));
+    i = (i + 1) % pairs.size();
+  }
+  state.counters["curves"] = static_cast<double>(pairs.size());
+}
+BENCHMARK(BM_hit_curve)->Arg(60)->Arg(180)->Arg(360)->Arg(720)
+    ->Unit(benchmark::kMicrosecond);
+
+/// One single-threshold first passage per iteration, as a held-set check
+/// reads it: same pairs, the threshold halfway between the current state
+/// and the chain's top state.
+void BM_hit_one(benchmark::State& state) {
+  const auto pairs = chain_states();
+  const int horizon = static_cast<int>(state.range(0));
+  std::size_t i = 0;
+  for (auto _ : state) {
+    const auto& [chain, s] = pairs[i];
+    const int b = s + (chain->state_count() - s) / 2;
+    benchmark::DoNotOptimize(chain->hit_one(s, 0, horizon, b));
+    i = (i + 1) % pairs.size();
+  }
+}
+BENCHMARK(BM_hit_one)->Arg(60)->Arg(720)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

@@ -86,14 +86,16 @@ double ZoneFailureModel::best_achievable_fp(const MarketZoneState& st,
 }
 
 BidCurve::BidCurve(const SemiMarkovChain* chain, int state, int age,
-                   int horizon, PriceTick current_price, PriceTick on_demand,
-                   double fp_prime, OobEstimator estimator,
+                   int horizon, int top, PriceTick current_price,
+                   PriceTick on_demand, double fp_prime,
+                   OobEstimator estimator,
                    std::shared_ptr<TransientCache> cache,
                    std::shared_ptr<TransientCache::Entry> memo)
     : chain_(chain),
       state_(state),
       age_(age),
       horizon_(horizon),
+      top_(top),
       current_price_(current_price),
       on_demand_(on_demand),
       fp_prime_(fp_prime),
@@ -133,11 +135,11 @@ void BidCurve::prime_all() const {
     return;
   }
   std::lock_guard<std::mutex> lk(memo_->mu);
-  if (memo_->hits_complete()) {
+  if (memo_->hits_complete(top_)) {
     stats_->count_hit();
     return;
   }
-  memo_->fill_hits(chain_->hit_curve(state_, age_, horizon_));
+  memo_->fill_hits(chain_->hit_curve(state_, age_, horizon_, top_));
   stats_->count_miss();
 }
 
@@ -192,9 +194,15 @@ BidCurve ZoneFailureModel::bid_curve(const MarketZoneState& st,
   int state = chain_.nearest_state(st.price);
   int age = chain_.clamped_age(state, st.age_minutes);
   auto memo = cache_->entry(state, age, horizon_minutes, chain_.state_count());
-  return BidCurve(&chain_, state, st.age_minutes, horizon_minutes, st.price,
-                  std::min(on_demand_, st.on_demand), fp_prime, estimator_,
-                  cache_, std::move(memo));
+  return BidCurve(&chain_, state, st.age_minutes, horizon_minutes,
+                  curve_top(), st.price, std::min(on_demand_, st.on_demand),
+                  fp_prime, estimator_, cache_, std::move(memo));
+}
+
+int ZoneFailureModel::curve_top() const {
+  const auto& ps = chain_.prices();
+  return static_cast<int>(std::lower_bound(ps.begin(), ps.end(), on_demand_) -
+                          ps.begin()) - 1;
 }
 
 void ZoneFailureModel::prime(const MarketZoneState& st,
@@ -202,12 +210,13 @@ void ZoneFailureModel::prime(const MarketZoneState& st,
   if (estimator_ != OobEstimator::kFirstPassage) return;
   int state = chain_.nearest_state(st.price);
   int age = chain_.clamped_age(state, st.age_minutes);
+  const int top = curve_top();
   std::vector<int> todo;
   std::vector<std::shared_ptr<TransientCache::Entry>> memos;
   for (int h : horizons) {
     auto memo = cache_->entry(state, age, h, chain_.state_count());
     std::lock_guard<std::mutex> lk(memo->mu);
-    if (memo->hits_complete()) {
+    if (memo->hits_complete(top)) {
       cache_->count_hit();
       continue;
     }
@@ -218,7 +227,7 @@ void ZoneFailureModel::prime(const MarketZoneState& st,
   // One DP for every horizon still missing, outside the entry locks; a
   // racing filler computes the same values, so the first one in wins.
   std::vector<std::vector<double>> curves =
-      chain_.hit_curve(state, st.age_minutes, todo);
+      chain_.hit_curve(state, st.age_minutes, todo, top);
   for (std::size_t k = 0; k < memos.size(); ++k) {
     std::lock_guard<std::mutex> lk(memos[k]->mu);
     memos[k]->fill_hits(curves[k]);

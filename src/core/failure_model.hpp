@@ -58,9 +58,12 @@ enum class OobEstimator { kFirstPassage, kOccupancy };
 /// ZoneFailureModel that produced it.
 class BidCurve {
  public:
+  /// `top` is the last threshold index prime_all() fills (the last state
+  /// priced below the model's on-demand price); indices above it stay lazy.
   BidCurve(const SemiMarkovChain* chain, int state, int age, int horizon,
-           PriceTick current_price, PriceTick on_demand, double fp_prime,
-           OobEstimator estimator, std::shared_ptr<TransientCache> cache,
+           int top, PriceTick current_price, PriceTick on_demand,
+           double fp_prime, OobEstimator estimator,
+           std::shared_ptr<TransientCache> cache,
            std::shared_ptr<TransientCache::Entry> memo);
 
   PriceTick current_price() const { return current_price_; }
@@ -70,11 +73,13 @@ class BidCurve {
   double oob_at_index(int i) const;
   const std::vector<PriceTick>& prices() const { return chain_->prices(); }
 
-  /// Precomputes every first-passage threshold with one batched transient
-  /// analysis (SemiMarkovChain::hit_curve).  Callers that will probe most
-  /// thresholds — the exhaustive bidder enumerates every candidate price —
-  /// amortize one DP over the whole curve instead of one per threshold.
-  /// No-op for the occupancy estimator (already whole-curve).
+  /// Precomputes every first-passage threshold a bid can read — those
+  /// priced below the model's on-demand price — with one batched transient
+  /// analysis (SemiMarkovChain::hit_curve capped there).  Callers that will
+  /// probe most thresholds — the exhaustive bidder enumerates every
+  /// candidate price — amortize one DP over the whole curve instead of one
+  /// per threshold.  No-op for the occupancy estimator (already
+  /// whole-curve).
   void prime_all() const;
 
   /// FP (Eq. 4 composed) at an arbitrary bid.
@@ -91,6 +96,7 @@ class BidCurve {
   int state_;
   int age_;
   int horizon_;
+  int top_;
   PriceTick current_price_;
   PriceTick on_demand_;
   double fp_prime_;
@@ -166,9 +172,9 @@ class ZoneFailureModel {
 
   /// Fills the first-passage cache entries of `st` at every horizon in
   /// `horizons` (minutes) with one transient analysis
-  /// (SemiMarkovChain::hit_curve over the set), so bid curves at those
-  /// horizons answer every threshold from the cache.  Entries already
-  /// complete are left alone.  The values equal the lazily computed ones
+  /// (SemiMarkovChain::hit_curve over the set, capped like prime_all()), so
+  /// bid curves at those horizons answer every threshold below on-demand
+  /// from the cache.  Entries already complete are left alone.  The values equal the lazily computed ones
   /// bit for bit, so priming changes no decision.  No-op for the occupancy
   /// estimator, whose curves stay lazy.
   void prime(const MarketZoneState& st, std::span<const int> horizons) const;
@@ -196,6 +202,9 @@ class ZoneFailureModel {
   double compose(double out_of_bid) const {
     return 1.0 - (1.0 - fp_prime_) * (1.0 - out_of_bid);
   }
+  /// Last state index priced below on_demand_ (-1 if none): no bid this
+  /// model recommends or evaluates reads a threshold above it.
+  int curve_top() const;
 
   SemiMarkovChain chain_;
   PriceTick on_demand_;

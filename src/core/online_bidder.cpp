@@ -9,15 +9,31 @@
 
 namespace jupiter {
 
+SizeBudgets::SizeBudgets(const ServiceSpec& spec, int max_nodes)
+    : min_nodes_(spec.min_nodes()),
+      target_(spec.target_availability() - spec.epsilon) {
+  for (int n = min_nodes_; n <= max_nodes; ++n) {
+    int tol = spec.tolerate(n);
+    budgets_.push_back(tol < 0 ? 0.0
+                               : equal_fp_for_availability(n, tol, target_));
+  }
+}
+
+double SizeBudgets::fp_budget(int n) const {
+  const int i = n - min_nodes_;
+  if (i < 0 || i >= std::ssize(budgets_)) return 0.0;
+  return budgets_[static_cast<std::size_t>(i)];
+}
+
 std::optional<BidDecision> OnlineBidder::decide_for_n(
     const std::vector<std::pair<int, BidCurve>>& curves,
-    const ServiceSpec& spec, int n) const {
+    const ServiceSpec& spec, const SizeBudgets& budgets, int n) const {
   int tol = spec.tolerate(n);
   if (tol < 0) return std::nullopt;
-  double target = spec.target_availability() - spec.epsilon;
+  double target = budgets.target();
 
   // Fig. 3 line 4: per-node failure budget under equal FPs.
-  double fp_budget = equal_fp_for_availability(n, tol, target);
+  double fp_budget = budgets.fp_budget(n);
   if (fp_budget <= 0.0) return std::nullopt;
 
   // Lines 5-13: cheapest feasible bid per zone.
@@ -118,6 +134,13 @@ BidDecision OnlineBidder::fallback(
 BidDecision OnlineBidder::decide(const FailureModelBook& models,
                                  const MarketSnapshot& snapshot,
                                  const ServiceSpec& spec) const {
+  return decide(models, snapshot, spec, SizeBudgets(spec, opts_.max_nodes));
+}
+
+BidDecision OnlineBidder::decide(const FailureModelBook& models,
+                                 const MarketSnapshot& snapshot,
+                                 const ServiceSpec& spec,
+                                 const SizeBudgets& budgets) const {
   // One transient analysis per zone serves every candidate size below.
   std::vector<std::pair<int, BidCurve>> curves;
   curves.reserve(snapshot.size());
@@ -144,7 +167,7 @@ BidDecision OnlineBidder::decide(const FailureModelBook& models,
   // Fig. 3 outer loop over deployment sizes; line 17 keeps the cheapest
   // upper bound.
   for (int n = spec.min_nodes(); n <= max_n; ++n) {
-    auto d = decide_for_n(curves, spec, n);
+    auto d = decide_for_n(curves, spec, budgets, n);
     if (!d) {
       // No feasible equal-FP configuration at this deployment size.
       if (obs::Registry* reg = obs::metrics()) {

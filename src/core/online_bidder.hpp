@@ -41,6 +41,29 @@ struct BidDecision {
   int nodes() const { return static_cast<int>(bids.size()); }
 };
 
+/// Fig. 3 line 4 for every deployment size a bidder tries: the per-node
+/// failure budget under which n equal nodes still meet the availability
+/// target.  It depends only on (n, tolerate(n), target), so a strategy,
+/// whose spec and size cap never change, computes it once instead of once
+/// per decision.
+class SizeBudgets {
+ public:
+  /// Budgets for n in [spec.min_nodes(), max_nodes].
+  SizeBudgets(const ServiceSpec& spec, int max_nodes);
+
+  /// The availability every configuration must reach:
+  /// spec.target_availability() - spec.epsilon.
+  double target() const { return target_; }
+  /// equal_fp_for_availability(n, spec.tolerate(n), target()); 0 (no
+  /// budget) when n cannot operate or lies outside the sizes covered.
+  double fp_budget(int n) const;
+
+ private:
+  int min_nodes_;
+  double target_;
+  std::vector<double> budgets_;  // [n - min_nodes_]
+};
+
 class OnlineBidder {
  public:
   struct Options {
@@ -68,6 +91,11 @@ class OnlineBidder {
   BidDecision decide(const FailureModelBook& models,
                      const MarketSnapshot& snapshot,
                      const ServiceSpec& spec) const;
+  /// As above, with the size budgets precomputed; `budgets` must have been
+  /// built from `spec` and options().max_nodes.
+  BidDecision decide(const FailureModelBook& models,
+                     const MarketSnapshot& snapshot, const ServiceSpec& spec,
+                     const SizeBudgets& budgets) const;
 
   const Options& options() const { return opts_; }
   /// Retargets the horizon (adaptive-interval extension, §5.5).
@@ -82,7 +110,7 @@ class OnlineBidder {
 
   [[nodiscard]] std::optional<BidDecision> decide_for_n(
       const std::vector<std::pair<int, BidCurve>>& curves,
-      const ServiceSpec& spec, int n) const;
+      const ServiceSpec& spec, const SizeBudgets& budgets, int n) const;
   BidDecision fallback(const std::vector<std::pair<int, BidCurve>>& curves,
                        const ServiceSpec& spec) const;
 

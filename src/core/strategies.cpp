@@ -19,7 +19,10 @@ JupiterStrategy::JupiterStrategy(const TraceBook& book, ServiceSpec spec,
 
 JupiterStrategy::JupiterStrategy(std::shared_ptr<WarmFailureModels> models,
                                  ServiceSpec spec, OnlineBidder::Options opts)
-    : models_(std::move(models)), spec_(std::move(spec)), bidder_(opts) {
+    : models_(std::move(models)),
+      spec_(std::move(spec)),
+      bidder_(opts),
+      budgets_(spec_, opts.max_nodes) {
   if (!models_ || models_->kind() != spec_.kind) {
     throw std::invalid_argument("JupiterStrategy: models of another kind");
   }
@@ -68,7 +71,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
     int n = static_cast<int>(held.size());
     int tol = spec_.tolerate(n);
     if (tol < 0) return false;
-    double target = spec_.target_availability() - spec_.epsilon;
+    double target = budgets_.target();
     int horizon = bidder_.options().horizon_minutes;
     std::vector<double> fps;
     for (const auto& h : held) {
@@ -94,7 +97,7 @@ StrategyDecision JupiterStrategy::decide(const MarketSnapshot& snapshot,
     return stay;
   }
 
-  last_ = bidder_.decide(models, snapshot, spec_);
+  last_ = bidder_.decide(models, snapshot, spec_, budgets_);
 
   // Even on a full refresh, staying can beat moving once replacement costs
   // are considered; keep the held set when it is still valid and its

@@ -86,6 +86,7 @@ class JupiterStrategy : public BiddingStrategy {
   std::shared_ptr<WarmFailureModels> models_;
   ServiceSpec spec_;
   OnlineBidder bidder_;
+  SizeBudgets budgets_;  // from spec_ and the bidder's max_nodes
   BidDecision last_;
   int decisions_ = 0;
 };

@@ -21,8 +21,11 @@ std::shared_ptr<TransientCache::Entry> TransientCache::entry(int state,
   return e;
 }
 
-bool TransientCache::Entry::hits_complete() const {
-  return std::find(hit_known.begin(), hit_known.end(), 0) == hit_known.end();
+bool TransientCache::Entry::hits_complete(int top) const {
+  auto end = hit_known.begin() +
+             std::clamp<std::ptrdiff_t>(std::ptrdiff_t{top} + 1, 0,
+                                        std::ssize(hit_known));
+  return std::find(hit_known.begin(), end, 0) == end;
 }
 
 void TransientCache::Entry::fill_hits(const std::vector<double>& curve) {

@@ -12,10 +12,13 @@
 // Entries are filled under a per-entry mutex (the parallel sweep and the
 // parallel exhaustive search may evaluate curves from worker threads), in
 // one of two ways.  Lazily: a curve fills the thresholds it probes
-// (hit_one) or, primed, the whole entry (hit_curve).  Or ahead of a batch:
-// ZoneFailureModel::prime fills the entries of several horizons for one
-// (state, clamped age) with a single multi-horizon DP, which is how a
-// fleet cluster prepares its shared models before each decide batch.
+// (hit_one) or, primed, every threshold up to the model's cap (one
+// hit_curve capped at the last price below on-demand).  Or ahead of a
+// batch: ZoneFailureModel::prime fills the entries of several horizons for
+// one (state, clamped age), up to the same cap, with a single multi-horizon
+// DP, which is how a fleet cluster prepares its shared models before each
+// decide batch.  No bid reaches past the cap, so the thresholds above it
+// are only ever filled one at a time, through hit_one, if anything asks.
 // Either way an entry's values are the same bit for bit.
 // Hit/miss counters are cumulative for the life of the cache; the
 // strategy publishes them as the core.cache_hits / core.cache_misses /
@@ -40,17 +43,20 @@ class TransientCache {
   struct Entry {
     std::mutex mu;
     // First-passage probability per threshold index, filled lazily (the bid
-    // search touches only the thresholds its binary search probes).
+    // search touches only the thresholds its binary search probes) or, up
+    // to the model's cap, whole.
     std::vector<double> hit;
     std::vector<char> hit_known;
     // Occupancy exceedance curve; one forward pass fills it whole.
     std::vector<double> exceed;
     bool exceed_filled = false;
 
-    /// Whether every threshold's first-passage value is known.  Hold mu.
-    bool hits_complete() const;
-    /// Fills the thresholds not yet known from a whole hit_curve().  Known
-    /// ones keep their value (equal bit for bit anyway).  Hold mu.
+    /// Whether the first-passage values of thresholds 0..top are all
+    /// known.  Hold mu.
+    bool hits_complete(int top) const;
+    /// Fills the thresholds not yet known from a hit_curve(), capped or
+    /// not: entry i of `curve` is threshold i's value.  Known ones keep
+    /// their value (equal bit for bit anyway).  Hold mu.
     void fill_hits(const std::vector<double>& curve);
   };
 

@@ -11,7 +11,47 @@ namespace jupiter {
 
 namespace {
 constexpr double kMassEps = 1e-12;
+
+/// One kernel transition as the first-passage DPs walk it: `dst` is the
+/// offset of `next`'s row within a minute's slice, precomputed so the inner
+/// loop does no index arithmetic, and the raw count is left out.
+struct Hop {
+  std::int32_t sojourn;
+  std::int32_t next;
+  std::uint32_t dst;
+  double prob;
+};
+
+/// The hops of rows 0..last in kernel row order, packed back to back
+/// (row j is hops[first[j], first[j + 1])).  Only the hops a DP to
+/// `horizon` over the states 0..last can take are kept: sojourn <= horizon
+/// and next <= last.  Kernel rows are sorted by (sojourn, next), so each
+/// packed row keeps that order and a walk may still stop at its first jump
+/// past the horizon.
+struct HopTable {
+  std::vector<Hop> hops;
+  std::vector<std::uint32_t> first;
+};
+
+template <class RowOffset>
+HopTable pack_hops(const std::vector<std::vector<SemiMarkovChain::Transition>>& kernel,
+                   int last, int horizon, RowOffset row_offset) {
+  HopTable t;
+  t.first.reserve(static_cast<std::size_t>(last) + 2);
+  for (int j = 0; j <= last; ++j) {
+    t.first.push_back(static_cast<std::uint32_t>(t.hops.size()));
+    for (const auto& tr : kernel[static_cast<std::size_t>(j)]) {
+      if (tr.sojourn > horizon) break;
+      if (tr.next > last) continue;
+      t.hops.push_back(Hop{tr.sojourn, tr.next,
+                           static_cast<std::uint32_t>(row_offset(tr.next)),
+                           tr.prob});
+    }
+  }
+  t.first.push_back(static_cast<std::uint32_t>(t.hops.size()));
+  return t;
 }
+}  // namespace
 
 SemiMarkovChain::SemiMarkovChain(std::vector<PriceTick> prices)
     : prices_(std::move(prices)) {
@@ -380,7 +420,9 @@ double SemiMarkovChain::hit_one(int state, int age, int horizon,
                                 int threshold_index) const {
   if (survival_dirty_) throw std::logic_error("call normalize_rows() first");
   if (horizon <= 0) throw std::invalid_argument("horizon must be positive");
-  const int b = threshold_index;
+  // A threshold at or above the top state lets nothing escape; the top
+  // state's DP is the same one.
+  const int b = std::min(threshold_index, state_count() - 1);
   if (b < state) return 1.0;  // already above the threshold
   const int H = horizon;
   const auto w = static_cast<std::size_t>(b) + 1;
@@ -391,8 +433,10 @@ double SemiMarkovChain::hit_one(int state, int age, int horizon,
 
   // Restrict the chain to states <= b and measure the mass that never
   // escapes within H minutes; hit = 1 - that mass.  Entry propagation as in
-  // average_occupancy, on a flat [minute t][state j] table.  Rows are sorted
-  // by (sojourn, next), so the first jump past the horizon ends a row.
+  // average_occupancy, on a flat [minute t][state j] table, walking only the
+  // hops that stay under the threshold (an escape contributes to hit).
+  // Rows are sorted by (sojourn, next), so the first jump past the horizon
+  // ends a row.
   std::vector<double> entries((static_cast<std::size_t>(H) + 1) * w, 0.0);
   double no_hit = survival(state, a + H) / sa;  // never leaves initial state
   for (const auto& tr : row(state)) {
@@ -403,19 +447,23 @@ double SemiMarkovChain::hit_one(int state, int age, int horizon,
     entries[static_cast<std::size_t>(tr.sojourn - a) * w +
             static_cast<std::size_t>(tr.next)] += tr.prob / sa;
   }
+  const HopTable ht = pack_hops(kernel_, b, H, [](int next) { return next; });
   for (int t = 1; t <= H; ++t) {
     const double* et = entries.data() + static_cast<std::size_t>(t) * w;
     for (int j = 0; j <= b; ++j) {
-      double m = et[j];
+      const double m = et[j];
       if (m <= kMassEps) continue;
-      no_hit += m * survival(j, H - t);
-      for (const auto& tr : row(j)) {
-        int tt = t + tr.sojourn;
+      // survival(j, H - t), read inline.
+      const std::vector<double>& surv = survival_[static_cast<std::size_t>(j)];
+      const auto d = static_cast<std::size_t>(H - t);
+      no_hit += m * (surv.empty() ? 1.0 : (d < surv.size() ? surv[d] : 0.0));
+      const Hop* he = ht.hops.data() + ht.first[static_cast<std::size_t>(j) + 1];
+      for (const Hop* hp = ht.hops.data() + ht.first[static_cast<std::size_t>(j)];
+           hp != he; ++hp) {
+        const int tt = t + hp->sojourn;
         // Jumps past the horizon are inside survival(j, H - t) above.
         if (tt > H) break;
-        if (tr.next > b) continue;  // escape within horizon
-        entries[static_cast<std::size_t>(tt) * w +
-                static_cast<std::size_t>(tr.next)] += m * tr.prob;
+        entries[static_cast<std::size_t>(tt) * w + hp->dst] += m * hp->prob;
       }
     }
   }
@@ -423,20 +471,23 @@ double SemiMarkovChain::hit_one(int state, int age, int horizon,
 }
 
 std::vector<double> SemiMarkovChain::hit_curve(int state, int age,
-                                               int horizon) const {
-  return std::move(hit_curve(state, age, {&horizon, 1}).front());
+                                               int horizon, int top) const {
+  return std::move(hit_curve(state, age, {&horizon, 1}, top).front());
 }
 
 std::vector<std::vector<double>> SemiMarkovChain::hit_curve(
-    int state, int age, std::span<const int> horizons) const {
+    int state, int age, std::span<const int> horizons, int top) const {
   if (survival_dirty_) throw std::logic_error("call normalize_rows() first");
   std::vector<int> hs(horizons.begin(), horizons.end());
   std::sort(hs.begin(), hs.end());
   hs.erase(std::unique(hs.begin(), hs.end()), hs.end());
   if (hs.empty()) return {};
   if (hs.front() <= 0) throw std::invalid_argument("horizon must be positive");
+  // Thresholds 0..nt-1 are computed; each one's DP only visits the states
+  // at or below it, so the curve is the uncapped one cut at `top`.
   const int n = state_count();
-  const auto np = static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) + 1) / 2;
+  const int nt = top >= n - 1 ? n : std::max(top + 1, 0);
+  const auto np = static_cast<std::size_t>(nt) * (static_cast<std::size_t>(nt) + 1) / 2;
   // The horizons whose (horizon x state-pair) table fits share one DP at
   // the largest of them; each longer one falls back to per-threshold DPs.
   constexpr std::size_t kMaxTable = std::size_t{1} << 23;
@@ -447,10 +498,10 @@ std::vector<std::vector<double>> SemiMarkovChain::hit_curve(
   }
   std::vector<std::vector<double>> curves;  // aligned with hs
   curves.reserve(hs.size());
-  if (fit > 0) hit_curves_batched(state, age, {hs.data(), fit}, curves);
+  if (fit > 0) hit_curves_batched(state, age, {hs.data(), fit}, nt, curves);
   for (std::size_t k = fit; k < hs.size(); ++k) {
-    std::vector<double> hit(static_cast<std::size_t>(n), 0.0);
-    for (int b = 0; b < n; ++b) {
+    std::vector<double> hit(static_cast<std::size_t>(nt), 0.0);
+    for (int b = 0; b < nt; ++b) {
       hit[static_cast<std::size_t>(b)] = hit_one(state, age, hs[k], b);
     }
     curves.push_back(std::move(hit));
@@ -468,15 +519,23 @@ std::vector<std::vector<double>> SemiMarkovChain::hit_curve(
 }
 
 void SemiMarkovChain::hit_curves_batched(
-    int state, int age, std::span<const int> hs,
+    int state, int age, std::span<const int> hs, int nt,
     std::vector<std::vector<double>>& curves) const {
-  const int n = state_count();
   const auto K = hs.size();
   const int H = hs.back();
+  if (state >= nt) {
+    // Every threshold computed is already below the current price.
+    for (std::size_t k = 0; k < K; ++k) {
+      curves.emplace_back(static_cast<std::size_t>(nt), 1.0);
+    }
+    return;
+  }
 
-  // Batched first passage for every threshold at once: one flat table runs
-  // the per-threshold restricted DPs in lockstep.  Each minute's slice is
-  // state-major and triangular, cell (j, b) at row0(j) + b for b in [j, n).
+  // Batched first passage for every threshold b < nt at once: one flat
+  // table runs the per-threshold restricted DPs in lockstep.  Each minute's
+  // slice is state-major and triangular, cell (j, b) at row0(j) + b for b in
+  // [j, nt).  Threshold b's DP only holds states <= b, so the rows j >= nt
+  // and the hops into them belong to no computed threshold and never run.
   // For each fixed b the seeding, the kMassEps cell skip, the survival
   // products and the accumulation order are exactly hit_one()'s, so the
   // curve equals the per-threshold values bit for bit.
@@ -487,15 +546,15 @@ void SemiMarkovChain::hit_curves_batched(
   // is, and horizon h's accumulator no_hit[k] collects exactly the terms of
   // a single-horizon run: its own start term plus m * S_j(h - t) for every
   // live (t, j) with t <= h.
-  const auto np = static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) + 1) / 2;
-  auto row0 = [n](int j) {
-    return static_cast<std::size_t>(j * (2 * n - j - 1) / 2);
+  const auto np = static_cast<std::size_t>(nt) * (static_cast<std::size_t>(nt) + 1) / 2;
+  auto row0 = [nt](int j) {
+    return static_cast<std::size_t>(j * (2 * nt - j - 1) / 2);
   };
 
   std::vector<double> entries((static_cast<std::size_t>(H) + 1) * np, 0.0);
-  std::vector<double> no_hit(K * static_cast<std::size_t>(n), 0.0);  // [k][b]
-  std::vector<double> masked(static_cast<std::size_t>(n), 0.0);
-  double* mm = masked.data();
+  std::vector<double> no_hit(K * static_cast<std::size_t>(nt), 0.0);  // [k][b]
+  std::vector<double> masked(static_cast<std::size_t>(nt), 0.0);
+  double* __restrict mm = masked.data();
 
   int a = clamp_age(state, age);
   double sa = survival(state, a);
@@ -504,33 +563,35 @@ void SemiMarkovChain::hit_curves_batched(
   // Never leaves the initial state within the horizon.
   for (std::size_t k = 0; k < K; ++k) {
     double stay = survival(state, a + hs[k]) / sa;
-    double* nh = no_hit.data() + k * static_cast<std::size_t>(n);
-    for (int b = state; b < n; ++b) nh[b] = stay;
+    double* nh = no_hit.data() + k * static_cast<std::size_t>(nt);
+    for (int b = state; b < nt; ++b) nh[b] = stay;
   }
   for (const auto& tr : row(state)) {
     if (tr.sojourn <= a) continue;
     if (tr.sojourn - a > H) break;  // inside survival(state, a + H)
+    if (tr.next >= nt) continue;    // escapes every computed threshold
     double w = tr.prob / sa;
     double* dst = entries.data() +
                   static_cast<std::size_t>(tr.sojourn - a) * np + row0(tr.next);
     // next > b escapes threshold b; seed only the thresholds it stays under.
-    for (int b = std::max(state, tr.next); b < n; ++b) dst[b] += w;
+    for (int b = std::max(state, tr.next); b < nt; ++b) dst[b] += w;
   }
-  // Loop order (t, j, transition, b) walks each transition row once per
-  // (t, j) yet visits each fixed b's cells in hit_one()'s order; slice t is
-  // read-only while t runs, as every target is at t + sojourn > t.  Cells at
-  // or below kMassEps are masked to +0.0 once per (t, j), so the b loops are
+  const HopTable ht = pack_hops(kernel_, nt - 1, H, row0);
+  // Loop order (t, j, hop, b) walks each packed row once per (t, j) yet
+  // visits each fixed b's cells in hit_one()'s order; slice t is read-only
+  // while t runs, as every target is at t + sojourn > t.  Cells at or below
+  // kMassEps are masked to +0.0 once per (t, j), so the b loops are
   // contiguous and branch-free: adding +0.0 to a non-negative cell is exact
   // while prob and survival are finite and non-negative.
   std::size_t k0 = 0;  // first horizon still running at minute t
   for (int t = 1; t <= H; ++t) {
     while (hs[k0] < t) ++k0;
     const double* slice = entries.data() + static_cast<std::size_t>(t) * np;
-    for (int j = 0; j < n; ++j) {
+    for (int j = 0; j < nt; ++j) {
       const int b0 = std::max(state, j);
       const double* src = slice + row0(j);
       bool live = false;
-      for (int b = b0; b < n; ++b) {
+      for (int b = b0; b < nt; ++b) {
         mm[b] = src[b] > kMassEps ? src[b] : 0.0;
         live |= mm[b] > 0.0;
       }
@@ -541,26 +602,29 @@ void SemiMarkovChain::hit_curves_batched(
         const auto d = static_cast<std::size_t>(hs[k] - t);
         const double surv_j =
             surv.empty() ? 1.0 : (d < surv.size() ? surv[d] : 0.0);
-        double* nh = no_hit.data() + k * static_cast<std::size_t>(n);
-        for (int b = b0; b < n; ++b) nh[b] += mm[b] * surv_j;
+        double* nh = no_hit.data() + k * static_cast<std::size_t>(nt);
+        for (int b = b0; b < nt; ++b) nh[b] += mm[b] * surv_j;
       }
-      for (const auto& tr : row(j)) {
-        int tt = t + tr.sojourn;
+      const Hop* he = ht.hops.data() + ht.first[static_cast<std::size_t>(j) + 1];
+      for (const Hop* hp = ht.hops.data() + ht.first[static_cast<std::size_t>(j)];
+           hp != he; ++hp) {
+        const int tt = t + hp->sojourn;
         if (tt > H) break;  // inside every survival(j, h - t) above
-        double* dst =
-            entries.data() + static_cast<std::size_t>(tt) * np + row0(tr.next);
+        const double prob = hp->prob;
+        double* __restrict dst =
+            entries.data() + static_cast<std::size_t>(tt) * np + hp->dst;
         // next > b escapes threshold b within the horizon.
-        for (int b = std::max(b0, tr.next); b < n; ++b) {
-          dst[b] += mm[b] * tr.prob;
+        for (int b = std::max(b0, hp->next); b < nt; ++b) {
+          dst[b] += mm[b] * prob;
         }
       }
     }
   }
 
   for (std::size_t k = 0; k < K; ++k) {
-    const double* nh = no_hit.data() + k * static_cast<std::size_t>(n);
-    std::vector<double> hit(static_cast<std::size_t>(n), 0.0);
-    for (int b = 0; b < n; ++b) {
+    const double* nh = no_hit.data() + k * static_cast<std::size_t>(nt);
+    std::vector<double> hit(static_cast<std::size_t>(nt), 0.0);
+    for (int b = 0; b < nt; ++b) {
       hit[static_cast<std::size_t>(b)] =
           b < state ? 1.0 : std::clamp(1.0 - nh[b], 0.0, 1.0);
     }

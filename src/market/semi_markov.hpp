@@ -22,6 +22,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <optional>
 #include <span>
 #include <vector>
@@ -145,6 +146,9 @@ class SemiMarkovChain {
   /// analysis serves the whole bid search of the bidding algorithm.
   std::vector<double> exceed_curve(int state, int age, int horizon) const;
 
+  /// Threshold cap meaning "every state": hit_curve() computes all of them.
+  static constexpr int kAllThresholds = std::numeric_limits<int>::max();
+
   /// First-passage curve: entry s is the probability that the price
   /// *strictly exceeds* prices()[s] at least once within the next `horizon`
   /// minutes (conditioned on current state and elapsed sojourn `age`).
@@ -153,27 +157,36 @@ class SemiMarkovChain {
   /// bidding framework needs, since a terminated instance stays gone until
   /// the next interval.  Nonincreasing in s; entry for the top state is 0.
   ///
+  /// `top` caps the thresholds: the curve has min(top, n - 1) + 1 entries,
+  /// equal bit for bit to the first entries of the uncapped curve.  A
+  /// threshold's DP only visits states at or below it, so the states and
+  /// jumps above the cap are never touched (the failure model caps at the
+  /// last price below on-demand, which no bid reaches past).
+  ///
   /// Batched: one flat entry-propagation table runs every threshold's
   /// restricted DP in lockstep, replicating hit_one()'s arithmetic (and
   /// accumulation order) per threshold exactly — the returned values are
   /// bit-identical to calling hit_one() per index.  Each minute's slice is
-  /// state-major (row j holds thresholds [j, n) contiguously); each (minute,
-  /// state) row is masked once at kMassEps and walked once per transition,
-  /// and a row's walk stops at its first jump past the horizon, which needs
-  /// kernel rows sorted by (sojourn, next).  Falls back to per-threshold
-  /// hit_one() calls when the (horizon x state-pair) table would be too
-  /// large.
-  std::vector<double> hit_curve(int state, int age, int horizon) const;
+  /// state-major (row j holds thresholds [j, top] contiguously); each
+  /// (minute, state) row is masked once at kMassEps and walked once per
+  /// transition of a packed hop table (the kernel rows in order, without
+  /// the jumps past the horizon or above the cap), and a row's walk stops at
+  /// its first jump past the horizon, which needs kernel rows sorted by
+  /// (sojourn, next).  Falls back to per-threshold hit_one() calls when the
+  /// (horizon x state-pair) table would be too large.
+  std::vector<double> hit_curve(int state, int age, int horizon,
+                                int top = kAllThresholds) const;
 
   /// First-passage curves for several horizons from one DP: result[i] is
-  /// hit_curve(state, age, horizons[i]), bit for bit.  The entry
+  /// hit_curve(state, age, horizons[i], top), bit for bit.  The entry
   /// propagation runs once, to the largest horizon; each horizon keeps its
   /// own no-escape accumulator over the minutes up to it.  Horizons may
   /// repeat and come in any order; each must be positive.  Those whose
   /// table is too large for the batched kernel fall back to per-threshold
   /// hit_one() calls.
   std::vector<std::vector<double>> hit_curve(
-      int state, int age, std::span<const int> horizons) const;
+      int state, int age, std::span<const int> horizons,
+      int top = kAllThresholds) const;
 
   /// Single-threshold first passage: Pr(price leaves the set
   /// {states <= threshold_index} within `horizon` minutes.  The building
@@ -196,10 +209,10 @@ class SemiMarkovChain {
   std::vector<double> stationary_occupancy() const;
 
  private:
-  /// The batched kernel behind hit_curve(): appends one curve per horizon
-  /// of `hs` (sorted, unique, positive, table within bounds at hs.back())
-  /// to `curves`.
-  void hit_curves_batched(int state, int age, std::span<const int> hs,
+  /// The batched kernel behind hit_curve(): appends one curve of the
+  /// thresholds [0, nt) per horizon of `hs` (sorted, unique, positive,
+  /// table within bounds at hs.back()) to `curves`.
+  void hit_curves_batched(int state, int age, std::span<const int> hs, int nt,
                           std::vector<std::vector<double>>& curves) const;
   void rebuild_survival();
   void rebuild_survival_row(int state);

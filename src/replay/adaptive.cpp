@@ -9,19 +9,21 @@ double market_churn(const TraceBook& book, InstanceKind kind,
                     const std::vector<int>& zones, SimTime now,
                     TimeDelta lookback) {
   if (zones.empty() || lookback <= 0) return 0.0;
-  SimTime from = now - lookback;
   std::size_t changes = 0;
+  TimeDelta observed = 0;  // zone-time the windows actually cover
   for (int z : zones) {
     const SpotTrace& trace = book.trace(z, kind);
-    if (from < trace.start()) from = trace.start();
+    // Each zone's window starts no earlier than its own trace.
+    SimTime from = std::max(now - lookback, trace.start());
     if (now <= from) continue;
     SpotTrace w = trace.slice(from, now);
     // The re-anchored first point is the pre-existing price, not a change.
     changes += w.empty() ? 0 : w.size() - 1;
+    observed += now - from;
   }
-  double days = static_cast<double>(lookback) / kDay;
+  if (observed == 0) return 0.0;
   return static_cast<double>(changes) /
-         (static_cast<double>(zones.size()) * days);
+         (static_cast<double>(observed) / kDay);
 }
 
 TimeDelta choose_interval(const TraceBook& book, InstanceKind kind,

@@ -27,7 +27,9 @@ struct AdaptiveIntervalOptions {
   double churn_low = 8.0;
 };
 
-/// Mean price changes per zone per day over [now - lookback, now).
+/// Mean price changes per zone-day over [now - lookback, now).  A zone's
+/// window starts no earlier than its trace, and the divisor counts only the
+/// zone-days the windows cover (0 when they cover none).
 double market_churn(const TraceBook& book, InstanceKind kind,
                     const std::vector<int>& zones, SimTime now,
                     TimeDelta lookback);

@@ -40,6 +40,39 @@ TEST(Adaptive, ChurnZeroOnFlatMarket) {
       market_churn(book, InstanceKind::kM1Small, {}, now, 24 * kHour), 0.0);
 }
 
+TEST(Adaptive, ChurnClampsEachZoneToItsOwnTraceStart) {
+  // Zone 1's trace starts 6 h before `now`, inside the 24 h lookback; zone
+  // 0's covers the whole window.  Listing zone 1 first must not cut zone
+  // 0's window short, and the divisor is the 1.25 zone-days observed.
+  SimTime now(3 * kDay);
+  auto flips = [](SimTime from, SimTime to, int count) {
+    SpotTrace tr;
+    tr.append(from, PriceTick(100));
+    for (int i = 0; i < count; ++i) {
+      tr.append(from + (i + 1) * ((to - from) / (count + 1)),
+                PriceTick(i % 2 ? 100 : 101));
+    }
+    return tr;
+  };
+  TraceBook book;
+  // 12 changes inside zone 0's window, 3 inside zone 1's.
+  book.set(0, InstanceKind::kM1Small, flips(now - 24 * kHour - kMinute, now, 12));
+  book.set(1, InstanceKind::kM1Small, flips(now - 6 * kHour, now, 3));
+  for (const std::vector<int>& zones :
+       {std::vector<int>{1, 0}, std::vector<int>{0, 1}}) {
+    EXPECT_DOUBLE_EQ(
+        market_churn(book, InstanceKind::kM1Small, zones, now, 24 * kHour),
+        (12.0 + 3.0) / 1.25);
+  }
+  // A zone whose trace starts at `now` observes nothing and adds no days.
+  book.set(2, InstanceKind::kM1Small, flips(now, now + kHour, 0));
+  EXPECT_DOUBLE_EQ(
+      market_churn(book, InstanceKind::kM1Small, {2, 0}, now, 24 * kHour),
+      12.0);
+  EXPECT_DOUBLE_EQ(
+      market_churn(book, InstanceKind::kM1Small, {2}, now, 24 * kHour), 0.0);
+}
+
 TEST(Adaptive, HighChurnPicksShortestInterval) {
   SimTime now(3 * kDay);
   TraceBook book = book_with_churn(100, now);

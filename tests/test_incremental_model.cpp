@@ -10,7 +10,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <memory>
+#include <vector>
 
 #include "core/failure_model.hpp"
 #include "core/strategies.hpp"
@@ -179,7 +181,8 @@ BidCurve fresh_curve(const SemiMarkovChain& chain, const MarketZoneState& st,
   auto cache = std::make_shared<TransientCache>();
   auto memo = cache->entry(state, chain.clamped_age(state, st.age_minutes),
                            horizon, chain.state_count());
-  return BidCurve(&chain, state, st.age_minutes, horizon, st.price, on_demand,
+  return BidCurve(&chain, state, st.age_minutes, horizon,
+                  chain.state_count() - 1, st.price, on_demand,
                   kOnDemandFailureProbability, est, std::move(cache),
                   std::move(memo));
 }
@@ -237,6 +240,39 @@ TEST(IncrementalModel, PrimeAllMatchesLazyValues) {
                 model.chain().hit_one(state, 0, 120, i), 1e-12)
         << "i=" << i;
   }
+}
+
+TEST(IncrementalModel, PrimeAllStopsAtOnDemandAndLeavesTheRestLazy) {
+  SpotTrace tr = synthetic_trace(SimTime(0), SimTime(2 * kWeek), 63);
+  SemiMarkovChain chain = SemiMarkovChain::estimate(tr);
+  const int n = chain.state_count();
+  ASSERT_GT(n, 3);
+  // On-demand at a mid state's price: the states from there up are priced
+  // at or above it, so prime_all() fills thresholds 0..top only.
+  const int top = n / 2 - 1;
+  const PriceTick on_demand = chain.state_price(top + 1);
+  const MarketZoneState st{0, chain.state_price(0), 0, on_demand};
+  const std::vector<double> uncapped = chain.hit_curve(0, 0, 120);
+  ASSERT_EQ(uncapped.size(), static_cast<std::size_t>(n));
+
+  ZoneFailureModel model(chain, on_demand);
+  BidCurve curve = model.bid_curve(st, 120);
+  curve.prime_all();
+  EXPECT_EQ(model.cache_stats().misses, 1u);  // the one capped DP
+  for (int i = 0; i <= top; ++i) {
+    EXPECT_EQ(curve.oob_at_index(i), uncapped[static_cast<std::size_t>(i)])
+        << "i=" << i;
+  }
+  EXPECT_EQ(model.cache_stats().misses, 1u);  // all read from the entry
+  for (int i = top + 1; i < n; ++i) {
+    const std::uint64_t before = model.cache_stats().misses;
+    EXPECT_EQ(curve.oob_at_index(i), uncapped[static_cast<std::size_t>(i)])
+        << "i=" << i;
+    EXPECT_EQ(model.cache_stats().misses, before + 1) << "i=" << i;
+  }
+  // A second prime finds everything up to the cap known.
+  curve.prime_all();
+  EXPECT_EQ(model.cache_stats().misses, static_cast<std::uint64_t>(n - top));
 }
 
 TEST(IncrementalModel, WarmStrategyReplaysIdenticallyToNaive) {

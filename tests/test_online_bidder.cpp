@@ -164,5 +164,37 @@ TEST(OnlineBidder, MaxNodesCapRespected) {
   EXPECT_LE(d.nodes(), 7);
 }
 
+TEST(SizeBudgets, EqualTheBisectedBudgetForEverySize) {
+  constexpr int kMaxNodes = 9;
+  for (const ServiceSpec& spec :
+       {ServiceSpec::lock_service(), ServiceSpec::storage_service()}) {
+    SizeBudgets budgets(spec, kMaxNodes);
+    const double target = spec.target_availability() - spec.epsilon;
+    EXPECT_EQ(budgets.target(), target) << spec.name;
+    for (int n = spec.min_nodes(); n <= kMaxNodes; ++n) {
+      EXPECT_EQ(budgets.fp_budget(n),
+                equal_fp_for_availability(n, spec.tolerate(n), target))
+          << spec.name << " n=" << n;
+    }
+    // Sizes outside the range carry no budget.
+    EXPECT_EQ(budgets.fp_budget(spec.min_nodes() - 1), 0.0) << spec.name;
+    EXPECT_EQ(budgets.fp_budget(kMaxNodes + 1), 0.0) << spec.name;
+  }
+}
+
+TEST_F(BidderFixture, PrecomputedBudgetsDecideLikePerDecisionOnes) {
+  BidDecision a = bidder.decide(models, snapshot, spec);
+  BidDecision b = bidder.decide(models, snapshot, spec,
+                                SizeBudgets(spec, bidder.options().max_nodes));
+  ASSERT_EQ(a.nodes(), b.nodes());
+  for (int i = 0; i < a.nodes(); ++i) {
+    const auto k = static_cast<std::size_t>(i);
+    EXPECT_EQ(a.bids[k].zone, b.bids[k].zone);
+    EXPECT_EQ(a.bids[k].bid, b.bids[k].bid);
+    EXPECT_EQ(a.bids[k].estimated_fp, b.bids[k].estimated_fp);
+  }
+  EXPECT_EQ(a.estimated_availability, b.estimated_availability);
+}
+
 }  // namespace
 }  // namespace jupiter

@@ -7,9 +7,10 @@
 // them byte for byte: the failure model caches these curves and the bidder
 // compares them, so one ulp can move a decision and an EXPERIMENTS.md cent.
 // The multi-horizon entry point must return, for each horizon of its set,
-// exactly the single-horizon reference curve.  The second half pins the
-// invariant the live kernel's early exit rests on:
-// every kernel row stays sorted by (sojourn, next).
+// exactly the single-horizon reference curve, and a curve capped at
+// threshold top exactly the reference's first top + 1 entries.  The second
+// half pins the invariant the live kernel's early exit rests on: every
+// kernel row stays sorted by (sojourn, next).
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -257,6 +258,26 @@ TEST(TransientDpOracle, ChainWithAbsorbingStateMatchesReference) {
   EXPECT_EQ(tally.mismatched, 0) << "first: " << tally.first;
 }
 
+/// The four chain shapes the oracle covers: trained, memoryless, extended
+/// with states inserted mid-stream, and one with an absorbing top state.
+std::vector<std::pair<std::string, SemiMarkovChain>> oracle_chains() {
+  std::vector<std::pair<std::string, SemiMarkovChain>> chains;
+  SpotTrace trace = zone_trace(3);
+  chains.emplace_back("trained", SemiMarkovChain::estimate(trace));
+  chains.emplace_back("memoryless",
+                      SemiMarkovChain::estimate(zone_trace(6)).to_memoryless());
+  const SimTime split = kStart + kDay;
+  SemiMarkovChain extended =
+      SemiMarkovChain::estimate(trace.slice(kStart, split));
+  extended.extend(trace, split, kEnd);
+  chains.emplace_back("extended", std::move(extended));
+  SpotTrace absorbing = zone_trace(5);
+  absorbing.append(absorbing.points().back().at + 90 * kMinute,
+                   PriceTick(9999));
+  chains.emplace_back("absorbing", SemiMarkovChain::estimate(absorbing));
+  return chains;
+}
+
 /// The multi-horizon kernel: every curve of hit_curve(state, age, set) must
 /// equal the single-horizon reference at that horizon, byte for byte, with
 /// the result aligned to the set's order (duplicates included).
@@ -309,24 +330,7 @@ TEST(TransientDpOracle, SeveralHorizonsMatchReferenceBitForBit) {
   const std::vector<std::vector<int>> sets = {
       {1}, {60, 180, 360, 540, 720}, {360, 60, 720, 1, 60, 540, 360}};
   Tally tally;
-  SpotTrace trace = zone_trace(3);
-  std::vector<std::pair<std::string, SemiMarkovChain>> chains;
-  chains.emplace_back("trained", SemiMarkovChain::estimate(trace));
-  chains.emplace_back("memoryless",
-                      SemiMarkovChain::estimate(zone_trace(6)).to_memoryless());
-  const SimTime split = kStart + kDay;
-  SemiMarkovChain extended =
-      SemiMarkovChain::estimate(trace.slice(kStart, split));
-  const int before = extended.state_count();
-  extended.extend(trace, split, kEnd);
-  ASSERT_GT(extended.state_count(), before);
-  chains.emplace_back("extended", std::move(extended));
-  SpotTrace absorbing = zone_trace(5);
-  absorbing.append(absorbing.points().back().at + 90 * kMinute,
-                   PriceTick(9999));
-  chains.emplace_back("absorbing", SemiMarkovChain::estimate(absorbing));
-  ASSERT_TRUE(chains.back().second.is_absorbing(
-      chains.back().second.state_count() - 1));
+  const auto chains = oracle_chains();
   for (const auto& [label, chain] : chains) {
     const int beyond = longest_sojourn(chain) + 1;
     compare_sets(chain, label, sets, every_state(chain), {0, 90, beyond},
@@ -350,6 +354,55 @@ TEST(TransientDpOracle, SeveralHorizonsMatchReferenceBitForBit) {
   ASSERT_GT(721 * np, std::size_t{1} << 23);
   compare_sets(wide, "fallback", {{720, 60, 720}}, {57, 150}, {0}, tally);
 
+  EXPECT_EQ(tally.mismatched, 0) << "first: " << tally.first;
+  EXPECT_GT(tally.compared, 0);
+}
+
+/// A capped curve holds exactly the thresholds 0..top of the uncapped
+/// reference, byte for byte: the full cap (today's curve), one in the
+/// middle, one below the current state, and a multi-horizon set.
+TEST(TransientDpOracle, CappedCurveMatchesReferenceBelowTheCap) {
+  const std::vector<int> set = {360, 60, 720, 180, 60};
+  Tally tally;
+  for (const auto& [label, chain] : oracle_chains()) {
+    const int n = chain.state_count();
+    ASSERT_GT(n, 2) << label;
+    const int beyond = longest_sojourn(chain) + 1;
+    for (int state : {0, n / 3, n - 1}) {
+      for (int top : {n - 1, n / 2, state - 1, -1}) {
+        for (int age : {0, 90, beyond}) {
+          std::vector<std::vector<double>> got;
+          got.push_back(chain.hit_curve(state, age, 180, top));
+          std::vector<std::vector<double>> many =
+              chain.hit_curve(state, age, set, top);
+          got.insert(got.end(), many.begin(), many.end());
+          std::vector<int> horizons = {180};
+          horizons.insert(horizons.end(), set.begin(), set.end());
+          for (std::size_t k = 0; k < got.size(); ++k) {
+            const std::vector<double> want =
+                ReferenceHitCurve(chain, state, age, horizons[k]);
+            ASSERT_EQ(got[k].size(), static_cast<std::size_t>(std::max(top + 1, 0)))
+                << label << " top=" << top;
+            for (std::size_t b = 0; b < got[k].size(); ++b) {
+              ++tally.compared;
+              if (same_bits(got[k][b], want[b])) continue;
+              if (tally.mismatched++ == 0) {
+                std::ostringstream os;
+                os.precision(17);
+                os << label << " state=" << state << " age=" << age
+                   << " H=" << horizons[k] << " top=" << top << " b=" << b
+                   << " got=" << got[k][b] << " want=" << want[b];
+                tally.first = os.str();
+              }
+            }
+          }
+        }
+      }
+    }
+    // The default cap is the whole curve.
+    EXPECT_EQ(chain.hit_curve(0, 0, 60, n - 1), chain.hit_curve(0, 0, 60))
+        << label;
+  }
   EXPECT_EQ(tally.mismatched, 0) << "first: " << tally.first;
   EXPECT_GT(tally.compared, 0);
 }
