@@ -90,7 +90,7 @@ InvariantRegistry::Checker make_validity_checker(
       for (paxos::Slot s = 0; s < r.commit_index(); ++s) {
         const paxos::Value* v = r.chosen_value(s);
         if (!v || v->kind != paxos::ValueKind::kCommand || v->coded) continue;
-        if (!submitted->contains(v->payload)) {
+        if (!submitted->contains(std::vector<std::uint8_t>(v->payload))) {
           return "node " + std::to_string(id) + " slot " + std::to_string(s) +
                  ": chosen command was never submitted";
         }
@@ -152,7 +152,7 @@ InvariantRegistry::Checker make_apply_once_checker(
         if (v->kind == paxos::ValueKind::kCommand) {
           ++expected;
         } else if (v->kind == paxos::ValueKind::kBatch) {
-          expected += paxos::decode_batch(v->payload).size();
+          expected += paxos::batch_ops(v->payload.span()).size();
         }
       }
       if (!exact) continue;

@@ -104,56 +104,97 @@ std::vector<Chunk> ReedSolomon::encode_chunks(
     throw std::invalid_argument("need exactly m data chunks");
   }
   std::size_t len = data[0].size();
+  std::vector<const std::uint8_t*> src;
+  src.reserve(data.size());
   for (const auto& c : data) {
     if (c.size() != len) throw std::invalid_argument("unequal chunk sizes");
+    src.push_back(c.data());
   }
   // Systematic: the data rows are the input verbatim.
-  std::vector<Chunk> out(data.begin(), data.end());
-  out.resize(static_cast<std::size_t>(n_));
-  add_parity(out, len);
+  std::vector<Chunk> out = parity(src, len);
+  out.insert(out.begin(), data.begin(), data.end());
   return out;
 }
 
-std::vector<Chunk> ReedSolomon::encode(
-    const std::vector<std::uint8_t>& data) const {
+std::size_t ReedSolomon::chunk_len(std::size_t size) const {
+  const std::size_t m = static_cast<std::size_t>(m_);
+  return std::max<std::size_t>((size + m - 1) / m, 1);  // never empty
+}
+
+namespace {
+
+/// Data row `c` of `data` split into rows of `len` bytes, zero-padded.
+Chunk padded_row(std::span<const std::uint8_t> data, int c, std::size_t len) {
+  const std::size_t lo =
+      std::min(static_cast<std::size_t>(c) * len, data.size());
+  const std::size_t hi = std::min(lo + len, data.size());
+  Chunk row;
+  row.reserve(len);
+  row.assign(data.begin() + static_cast<std::ptrdiff_t>(lo),
+             data.begin() + static_cast<std::ptrdiff_t>(hi));
+  row.resize(len, 0);
+  return row;
+}
+
+void observe_encode(std::size_t bytes) {
   if (obs::Registry* reg = obs::metrics()) {
     // Payload-size distribution feeding the SIMD kernels; one TLS load and
     // a branch when observability is off, so the 1.97 GB/s path is safe.
-    reg->det_histogram("ec.encode_bytes").observe(data.size());
+    reg->det_histogram("ec.encode_bytes").observe(bytes);
   }
-  std::size_t chunk_len =
-      (data.size() + static_cast<std::size_t>(m_) - 1) /
-      static_cast<std::size_t>(m_);
-  if (chunk_len == 0) chunk_len = 1;  // keep chunks non-empty
-  // The payload goes straight into the systematic rows; only the padding
-  // tail is zero-filled.
-  std::vector<Chunk> out(static_cast<std::size_t>(n_));
+}
+
+}  // namespace
+
+std::vector<Chunk> ReedSolomon::encode(
+    const std::vector<std::uint8_t>& data) const {
+  observe_encode(data.size());
+  const std::size_t len = chunk_len(data.size());
+  std::vector<Chunk> out;
+  out.reserve(static_cast<std::size_t>(n_));
+  std::vector<const std::uint8_t*> src;
+  src.reserve(static_cast<std::size_t>(m_));
   for (int c = 0; c < m_; ++c) {
-    const std::size_t lo =
-        std::min(static_cast<std::size_t>(c) * chunk_len, data.size());
-    const std::size_t hi = std::min(lo + chunk_len, data.size());
-    Chunk& row = out[static_cast<std::size_t>(c)];
-    row.reserve(chunk_len);
-    row.assign(data.begin() + static_cast<std::ptrdiff_t>(lo),
-               data.begin() + static_cast<std::ptrdiff_t>(hi));
-    row.resize(chunk_len, 0);
+    out.push_back(padded_row(data, c, len));
+    src.push_back(out.back().data());
   }
-  add_parity(out, chunk_len);
+  for (Chunk& row : parity(src, len)) out.push_back(std::move(row));
   return out;
 }
 
-void ReedSolomon::add_parity(std::vector<Chunk>& out, std::size_t len) const {
-  std::vector<const std::uint8_t*> src(static_cast<std::size_t>(m_));
-  for (int c = 0; c < m_; ++c) src[static_cast<std::size_t>(c)] = out[static_cast<std::size_t>(c)].data();
-  std::vector<std::uint8_t*> parity;
-  parity.reserve(static_cast<std::size_t>(n_ - m_));
+std::vector<SharedBytes> ReedSolomon::encode_shared(
+    const SharedBytes& data) const {
+  observe_encode(data.size());
+  const std::size_t len = chunk_len(data.size());
+  std::vector<SharedBytes> out;
+  out.reserve(static_cast<std::size_t>(n_));
+  std::vector<const std::uint8_t*> src;
+  src.reserve(static_cast<std::size_t>(m_));
+  for (int c = 0; c < m_; ++c) {
+    const std::size_t lo = static_cast<std::size_t>(c) * len;
+    if (lo + len <= data.size()) {
+      out.push_back(data.view(data.span().subspan(lo, len)));
+    } else {
+      out.emplace_back(padded_row(data.span(), c, len));
+    }
+    src.push_back(out.back().data());
+  }
+  for (Chunk& row : parity(src, len)) out.emplace_back(std::move(row));
+  return out;
+}
+
+std::vector<Chunk> ReedSolomon::parity(
+    const std::vector<const std::uint8_t*>& src, std::size_t len) const {
+  std::vector<Chunk> rows;
+  rows.reserve(static_cast<std::size_t>(n_ - m_));
+  std::vector<std::uint8_t*> dst;
+  dst.reserve(static_cast<std::size_t>(n_ - m_));
   for (int r = m_; r < n_; ++r) {
     // coded_mul writes every byte; std::vector still value-initializes.
-    Chunk& row = out[static_cast<std::size_t>(r)];
-    row.resize(len);
-    parity.push_back(row.data());
+    dst.push_back(rows.emplace_back(len).data());
   }
-  coded_mul(matrix_, static_cast<std::size_t>(m_), src, parity, len);
+  coded_mul(matrix_, static_cast<std::size_t>(m_), src, dst, len);
+  return rows;
 }
 
 const GFMatrix* ReedSolomon::decode_matrix_for(

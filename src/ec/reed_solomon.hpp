@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "ec/gf_matrix.hpp"
+#include "util/bytes.hpp"
 
 namespace jupiter {
 
@@ -58,9 +59,15 @@ class ReedSolomon {
   int parity_chunks() const { return n_ - m_; }
 
   /// Splits `data` into m chunks (zero-padded to a multiple of m) and
-  /// returns all n coded chunks.  Chunk size is ceil(size / m); the original
-  /// size must be carried out-of-band (RS-Paxos stores it in the log entry).
+  /// returns all n coded chunks.  Chunk size is ceil(size / m) (at least
+  /// 1); the original size must be carried out-of-band (RS-Paxos stores it
+  /// in the log entry).
   std::vector<Chunk> encode(const std::vector<std::uint8_t>& data) const;
+  /// The same n chunks, byte for byte, without copying the payload: a data
+  /// row that lies wholly inside `data` is a view of it, so it pins
+  /// `data`'s buffer.  Only a row that needs zero padding is copied; parity
+  /// rows own their bytes.
+  std::vector<SharedBytes> encode_shared(const SharedBytes& data) const;
 
   /// Encodes pre-split chunks (all the same size).
   std::vector<Chunk> encode_chunks(const std::vector<Chunk>& data) const;
@@ -96,9 +103,11 @@ class ReedSolomon {
   const GFMatrix* decode_matrix_for(
       const std::vector<std::size_t>& rows) const;
 
-  /// Fills the parity rows out[m, n) of `out` (n rows, the first m holding
-  /// `len` bytes of data each) with the coded bytes.
-  void add_parity(std::vector<Chunk>& out, std::size_t len) const;
+  /// Bytes per chunk for a payload of `size` bytes.
+  std::size_t chunk_len(std::size_t size) const;
+  /// The k parity rows of the m data rows `src`, `len` bytes each.
+  std::vector<Chunk> parity(const std::vector<const std::uint8_t*>& src,
+                            std::size_t len) const;
 
   int m_, n_;
   GFMatrix matrix_;  // n x m, top m rows identity

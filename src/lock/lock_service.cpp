@@ -195,7 +195,7 @@ LockResponse LockServiceState::handle(const LockCommand& cmd) {
 
 // The lock table reads a command in place and keeps none of its bytes, so
 // neither entry copies it.
-std::vector<std::uint8_t> LockServiceState::apply(const ByteSlice& command) {
+std::vector<std::uint8_t> LockServiceState::apply(const SharedBytes& command) {
   return handle(LockCommand::decode(command.span())).encode();
 }
 

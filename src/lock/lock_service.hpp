@@ -65,7 +65,7 @@ struct LockResponse {
 /// The replicated lock table.
 class LockServiceState : public paxos::StateMachine {
  public:
-  std::vector<std::uint8_t> apply(const ByteSlice& command) override;
+  std::vector<std::uint8_t> apply(const SharedBytes& command) override;
   std::vector<std::uint8_t> apply(
       const std::vector<std::uint8_t>& command) override;
   /// Lease fast path: answers kGetOwner without a log entry.  Unlike

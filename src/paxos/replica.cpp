@@ -1,7 +1,6 @@
 #include "paxos/replica.hpp"
 
 #include <algorithm>
-#include <iterator>
 #include <utility>
 
 #include "obs/obs.hpp"
@@ -322,10 +321,7 @@ bool Replica::codes(const Value& v) const {
 
 std::vector<SharedBytes> Replica::encode_fanout(const Value& full) const {
   const int n = static_cast<int>(config_.size());
-  std::vector<Chunk> chunks =
-      ReedSolomon::shared(opts_.policy.rs_m, n).encode(full.payload);
-  return {std::make_move_iterator(chunks.begin()),
-          std::make_move_iterator(chunks.end())};
+  return ReedSolomon::shared(opts_.policy.rs_m, n).encode_shared(full.payload);
 }
 
 Value Replica::make_chunk_value(const Value& full, SharedBytes chunk,
@@ -359,7 +355,7 @@ std::optional<Value> Replica::reconstruct(std::uint64_t value_id,
   for (const Value* c : chunks) {
     // A re-encode for a config of another size shares the value_id.
     if (c->rs_n != first.rs_n) continue;
-    have.emplace_back(c->chunk_index, c->payload.vec());
+    have.emplace_back(c->chunk_index, c->payload.span());
   }
   auto data = rs.decode(have, first.full_size);
   if (!data) return std::nullopt;
@@ -566,7 +562,8 @@ void Replica::apply_ready() {
           break;
         }
         case ValueKind::kConfig: {
-          auto members = decode_config(v.payload);  // never coded
+          // Never coded.
+          auto members = decode_config(std::vector<std::uint8_t>(v.payload));
           std::sort(members.begin(), members.end());
           // A joiner catching up replays configs from before it joined;
           // only a config that drops a member removes it.
@@ -626,16 +623,16 @@ std::vector<std::vector<std::uint8_t>> Replica::apply_full(
     ValueKind kind, const SharedBytes& bytes) {
   std::vector<std::vector<std::uint8_t>> responses;
   if (kind == ValueKind::kCommand) {
-    responses.push_back(sm_.apply(ByteSlice(bytes)));
+    responses.push_back(sm_.apply(bytes));
     ++applied_commands_;
     return responses;
   }
-  // Apply each sub-op in order, as a slice of the batch: a batch replays
+  // Apply each sub-op in order, as a view of the batch: a batch replays
   // identically on every replica (one log entry, many commands).
-  auto ops = batch_ops(bytes.vec());
+  auto ops = batch_ops(bytes.span());
   responses.reserve(ops.size());
   for (auto op : ops) {
-    responses.push_back(sm_.apply(ByteSlice(bytes, op)));
+    responses.push_back(sm_.apply(bytes.view(op)));
     ++applied_commands_;
   }
   return responses;

@@ -43,16 +43,15 @@ class StateMachine {
  public:
   virtual ~StateMachine() = default;
   /// Full-value command (classic replication, and the leader side of
-  /// RS-Paxos), as a slice of the chosen log payload: the one entry the
-  /// replica calls.  A state machine may keep the slice (the KV store keeps
+  /// RS-Paxos), as a view of the chosen log payload: the one entry the
+  /// replica calls.  A state machine may keep the view (the KV store keeps
   /// a put's value that way) instead of copying the bytes out.  The default
-  /// copies the slice into apply(const std::vector&).  Returns the response
+  /// copies the view into apply(const std::vector&).  Returns the response
   /// bytes.
-  virtual std::vector<std::uint8_t> apply(const ByteSlice& command) {
-    return apply(std::vector<std::uint8_t>(command.span().begin(),
-                                           command.span().end()));
+  virtual std::vector<std::uint8_t> apply(const SharedBytes& command) {
+    return apply(std::vector<std::uint8_t>(command));
   }
-  /// The same command as owned bytes.  Services implement the slice entry
+  /// The same command as owned bytes.  Services implement the view entry
   /// and forward this one to it; state machines that only need the bytes
   /// (test recorders, timing decorators) may implement just this one.
   virtual std::vector<std::uint8_t> apply(
@@ -282,7 +281,7 @@ class Replica {
   void note_commit_lag(Slot slot);
   void apply_ready();
   /// Applies the full bytes of a kCommand or kBatch value to the state
-  /// machine, op by op, each op a slice of `bytes`, and returns one
+  /// machine, op by op, each op a view of `bytes`, and returns one
   /// response per op.
   std::vector<std::vector<std::uint8_t>> apply_full(ValueKind kind,
                                                     const SharedBytes& bytes);
@@ -299,7 +298,8 @@ class Replica {
   /// RS-Paxos; noops and configs always travel whole).
   bool codes(const Value& v) const;
   /// All n Reed-Solomon chunks of `full` for the current config: one encode
-  /// per fan-out, chunk i destined for config_[i].
+  /// per fan-out, chunk i destined for config_[i].  The unpadded systematic
+  /// chunks are views of `full`'s payload.
   std::vector<SharedBytes> encode_fanout(const Value& full) const;
   /// Wraps chunk `chunk_index` of `full`, already encoded, in a coded Value.
   Value make_chunk_value(const Value& full, SharedBytes chunk,

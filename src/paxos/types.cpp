@@ -52,7 +52,7 @@ std::vector<std::uint8_t> encode_batch(const std::vector<SharedBytes>& ops) {
   put32(static_cast<std::uint32_t>(ops.size()));
   for (const auto& op : ops) {
     put32(static_cast<std::uint32_t>(op.size()));
-    out.insert(out.end(), op.vec().begin(), op.vec().end());
+    out.insert(out.end(), op.span().begin(), op.span().end());
   }
   return out;
 }

@@ -8,7 +8,8 @@
 // reconstructed during recovery.
 //
 // Payloads are immutable SharedBytes: every holder of a value (messages,
-// acceptor and learner state, a follower's chunk log) shares one buffer.
+// acceptor and learner state, a follower's chunk log) shares one buffer,
+// and a systematic RS chunk is a view of the proposal's own payload.
 #pragma once
 
 #include <compare>

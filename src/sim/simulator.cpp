@@ -27,7 +27,7 @@ Simulator::Simulator(Options opts)
     width_shift_ = 0;
     while ((std::int64_t{1} << width_shift_) < width_) ++width_shift_;
   }
-  set_log_clock(this, [this] { return now_.str(); });
+  set_log_clock(this);
 }
 
 Simulator::~Simulator() { clear_log_clock(this); }
@@ -261,6 +261,7 @@ void Simulator::dispatch(std::uint32_t idx) {
 }
 
 bool Simulator::step() {
+  LogClockScope log_clock(this);
   while (advance_ready()) {
     std::uint32_t idx = ready_pop();
     if (slots_[idx].where == kWhereZombie) {
@@ -274,6 +275,7 @@ bool Simulator::step() {
 }
 
 void Simulator::run_until(SimTime until) {
+  LogClockScope log_clock(this);
   while (advance_ready()) {
     // ready_.front() is the global minimum: ring cells hold strictly later
     // buckets and the overflow tier sits beyond the wheel window.

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "sim/inline_function.hpp"
+#include "util/log.hpp"
 #include "util/time.hpp"
 
 namespace jupiter {
@@ -54,7 +55,7 @@ class EventHandle {
   std::uint64_t id_ = 0;    // arm id at schedule time; 0 = invalid
 };
 
-class Simulator {
+class Simulator : private LogClock {
  public:
   using Callback = InlineFunction<void()>;
 
@@ -78,9 +79,9 @@ class Simulator {
     std::size_t arena_slots = 0;      // slab size (free + live)
   };
 
-  /// Registers this simulator as the process's log clock, so every JLOG
-  /// line carries the simulated instant.  First simulator wins; a second
-  /// concurrent one keeps its own time to itself.
+  /// Registers this simulator as its thread's resting log clock, so every
+  /// JLOG line carries the simulated instant.  The first simulator on a
+  /// thread wins; a second one stamps lines only while it runs.
   Simulator();
   explicit Simulator(Options opts);
   ~Simulator();
@@ -109,6 +110,8 @@ class Simulator {
   bool cancel(EventHandle h);
 
   /// Runs events until the queue is empty or the clock would pass `until`.
+  /// While it runs, this simulator stamps the thread's log lines (and those
+  /// of pool helpers running its events' parallel_for batches).
   /// Events exactly at `until` are executed.  Contract: on return the clock
   /// reads exactly `until` even when the queue drains early (the clock is
   /// clamped forward), and never past it; a second run_until with the same
@@ -136,6 +139,8 @@ class Simulator {
   void publish_obs_stats() const;
 
  private:
+  std::string log_time() const override { return now_.str(); }
+
   // `where` field: ring cell index, or one of these sentinels (all above
   // any legal cell index — Options::buckets is bounded well below them).
   static constexpr std::uint32_t kWhereFree = 0xFFFFFFFFu;

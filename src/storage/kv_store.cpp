@@ -38,7 +38,7 @@ std::vector<std::uint8_t> encode_response(KvStatus status,
 
 /// A get's response, built with one copy of the stored value.
 std::vector<std::uint8_t> get_response(
-    const std::map<std::string, ByteSlice>& map, const std::string& key) {
+    const std::map<std::string, SharedBytes>& map, const std::string& key) {
   auto it = map.find(key);
   if (it == map.end()) return encode_response(KvStatus::kNotFound, {});
   return encode_response(KvStatus::kOk, it->second.span());
@@ -105,23 +105,22 @@ KvCommand KvCommand::decode(const std::vector<std::uint8_t>& bytes) {
 }
 
 std::vector<std::uint8_t> KvResponse::encode() const {
-  return encode_response(status, value);
+  return encode_response(status, value.span());
 }
 
-KvResponse KvResponse::decode(const std::vector<std::uint8_t>& bytes) {
-  ByteReader r(bytes);
+KvResponse KvResponse::decode(SharedBytes bytes) {
+  ByteReader r(bytes.span());
   KvResponse resp;
   resp.status = static_cast<KvStatus>(r.u8());
-  resp.value = r.bytes();
+  resp.value = bytes.view(r.bytes_view());
   return resp;
 }
 
-std::vector<std::uint8_t> KvStoreState::apply(const ByteSlice& command) {
+std::vector<std::uint8_t> KvStoreState::apply(const SharedBytes& command) {
   CommandView cmd = parse(command.span());
   switch (cmd.op) {
     case KvOp::kPut:
-      map_.insert_or_assign(std::move(cmd.key),
-                            ByteSlice(command.buffer(), cmd.value));
+      map_.insert_or_assign(std::move(cmd.key), command.view(cmd.value));
       break;
     case KvOp::kGet:
       return get_response(map_, cmd.key);
@@ -136,7 +135,7 @@ std::vector<std::uint8_t> KvStoreState::apply(const ByteSlice& command) {
 
 std::vector<std::uint8_t> KvStoreState::apply(
     const std::vector<std::uint8_t>& command) {
-  return apply(ByteSlice(SharedBytes(command)));
+  return apply(SharedBytes(command));
 }
 
 std::optional<std::vector<std::uint8_t>> KvStoreState::read(
@@ -160,12 +159,12 @@ void KvStoreState::apply_chunk(const paxos::Value& value) {
 
 std::optional<std::vector<std::uint8_t>> KvStoreState::get(
     const std::string& key) const {
-  const ByteSlice* v = find(key);
+  const SharedBytes* v = find(key);
   if (v == nullptr) return std::nullopt;
-  return std::vector<std::uint8_t>(v->span().begin(), v->span().end());
+  return std::vector<std::uint8_t>(*v);
 }
 
-const ByteSlice* KvStoreState::find(const std::string& key) const {
+const SharedBytes* KvStoreState::find(const std::string& key) const {
   auto it = map_.find(key);
   return it == map_.end() ? nullptr : &it->second;
 }
@@ -185,7 +184,7 @@ std::size_t KvStoreState::reconstruct_into(
     for (const auto* f : followers) {
       auto it = f->chunks().find(id);
       if (it == f->chunks().end()) continue;
-      have.emplace_back(it->second.chunk_index, it->second.bytes.vec());
+      have.emplace_back(it->second.chunk_index, it->second.bytes.span());
       kind = it->second.kind;
       rs_n = it->second.rs_n;
       full_size = it->second.full_size;
@@ -198,12 +197,12 @@ std::size_t KvStoreState::reconstruct_into(
     if (!data) continue;
     const SharedBytes full(std::move(*data));
     if (kind == paxos::ValueKind::kBatch) {
-      for (auto op : paxos::batch_ops(full.vec())) {
-        out.apply(ByteSlice(full, op));
+      for (auto op : paxos::batch_ops(full.span())) {
+        out.apply(full.view(op));
         ++recovered;
       }
     } else {
-      out.apply(ByteSlice(full));
+      out.apply(full);
       ++recovered;
     }
   }
@@ -239,9 +238,10 @@ void KvClient::get(const std::string& key, Callback cb) {
   c.key = key;
   // Lease fast path first: when the leader holds a quorum lease the read
   // is served from its materialized map with no log entry and no network
-  // round — the whole point of leader leases.  Falls back to the log.
+  // round — the whole point of leader leases.  Falls back to the log.  The
+  // response keeps the one copy of the value the store made.
   if (auto bytes = group_.local_read(c.encode())) {
-    if (cb) cb(KvResponse::decode(*bytes));
+    if (cb) cb(KvResponse::decode(std::move(*bytes)));
     return;
   }
   send(c, std::move(cb));

@@ -43,10 +43,12 @@ enum class KvStatus : std::uint8_t { kOk = 0, kNotFound = 1, kError = 2 };
 
 struct KvResponse {
   KvStatus status = KvStatus::kOk;
-  std::vector<std::uint8_t> value;
+  /// A decoded response's value is a view of the response bytes.
+  SharedBytes value;
 
   std::vector<std::uint8_t> encode() const;
-  static KvResponse decode(const std::vector<std::uint8_t>& bytes);
+  /// Reads `bytes` in place: the value views them, with no copy.
+  static KvResponse decode(SharedBytes bytes);
 };
 
 /// One command chunk held by a follower.
@@ -66,9 +68,9 @@ struct StoredChunk {
 
 class KvStoreState : public paxos::StateMachine {
  public:
-  /// Applies one command.  A put stores its value as a slice of `command`,
+  /// Applies one command.  A put stores its value as a view of `command`,
   /// so the store shares the chosen log payload instead of copying it.
-  std::vector<std::uint8_t> apply(const ByteSlice& command) override;
+  std::vector<std::uint8_t> apply(const SharedBytes& command) override;
   /// Copies `command` into a buffer of its own and applies that.
   std::vector<std::uint8_t> apply(
       const std::vector<std::uint8_t>& command) override;
@@ -81,9 +83,9 @@ class KvStoreState : public paxos::StateMachine {
   // Leader-side reads.
   /// An owned copy of the value stored at `key`.
   std::optional<std::vector<std::uint8_t>> get(const std::string& key) const;
-  /// The stored value itself, a slice of the log payload that carried its
+  /// The stored value itself, a view of the log payload that carried its
   /// put; nullptr when `key` is absent.
-  const ByteSlice* find(const std::string& key) const;
+  const SharedBytes* find(const std::string& key) const;
   std::size_t keys() const { return map_.size(); }
 
   // Follower-side chunk log.
@@ -102,9 +104,9 @@ class KvStoreState : public paxos::StateMachine {
       KvStoreState& out);
 
  private:
-  // Values pin the log payloads they slice (a batched put pins its whole
+  // Values pin the log payloads they view (a batched put pins its whole
   // batch) until the key is overwritten or erased.
-  std::map<std::string, ByteSlice> map_;
+  std::map<std::string, SharedBytes> map_;
   std::map<std::uint64_t, StoredChunk> chunks_;  // value_id -> chunk
   std::uint64_t chunk_bytes_ = 0;
   std::uint64_t chunks_applied_ = 0;

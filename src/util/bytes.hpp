@@ -1,9 +1,9 @@
 // Byte buffers.  ByteWriter/ByteReader serialize commands: fixed-width
 // little-endian integers and length-prefixed strings, deterministic across
 // platforms, which replicated state machines require.  SharedBytes is the
-// immutable, shared buffer that Paxos values travel in; ByteSlice is an
-// owning view of part of one, which is how a state machine keeps an op's
-// bytes without copying them out of the log.
+// one immutable byte type of the Paxos path: a view of all or part of a
+// shared buffer, so a value, one op of a batch, a stored put or a
+// systematic Reed-Solomon chunk is held without copying its bytes.
 #pragma once
 
 #include <algorithm>
@@ -19,11 +19,12 @@
 
 namespace jupiter {
 
-/// Immutable, reference-counted bytes.  A copy shares the one allocation,
-/// so a value held by a message in flight, an acceptor, a learner and a
-/// chunk log costs its bytes once.  Equality compares content, not
-/// identity.  An empty buffer allocates nothing.  Readers take it as the
-/// `const std::vector<std::uint8_t>&` it converts to.
+/// Immutable, reference-counted bytes: a view of all or part of one shared
+/// allocation.  A copy shares the allocation, so a value held by a message
+/// in flight, an acceptor, a learner, a chunk log and a state machine costs
+/// its bytes once.  A view of part of it (view()) keeps the whole
+/// allocation alive.  Equality compares content, not identity.  An empty
+/// view allocates and pins nothing.  Readers take span().
 class SharedBytes {
  public:
   SharedBytes() = default;
@@ -32,69 +33,71 @@ class SharedBytes {
   SharedBytes(std::vector<std::uint8_t> bytes)  // NOLINT(google-explicit-constructor)
       : buf_(bytes.empty() ? nullptr
                            : std::make_shared<const std::vector<std::uint8_t>>(
-                                 std::move(bytes))) {}
+                                 std::move(bytes))),
+        data_(buf_ ? buf_->data() : nullptr),
+        size_(buf_ ? buf_->size() : 0) {}
 
-  const std::vector<std::uint8_t>& vec() const {
-    return buf_ ? *buf_ : kNoBytes;
+  SharedBytes(const SharedBytes&) = default;
+  SharedBytes& operator=(const SharedBytes&) = default;
+  /// A moved-from view is empty.
+  SharedBytes(SharedBytes&& other) noexcept
+      : buf_(std::move(other.buf_)),
+        data_(std::exchange(other.data_, nullptr)),
+        size_(std::exchange(other.size_, 0)) {}
+  SharedBytes& operator=(SharedBytes&& other) noexcept {
+    buf_ = std::move(other.buf_);
+    data_ = std::exchange(other.data_, nullptr);
+    size_ = std::exchange(other.size_, 0);
+    return *this;
   }
-  operator const std::vector<std::uint8_t>&() const { return vec(); }
 
-  std::size_t size() const { return buf_ ? buf_->size() : 0; }
-  bool empty() const { return size() == 0; }
-  /// Start of the shared allocation; nullptr when empty.  Two buffers with
-  /// the same non-null data() share storage.
-  const std::uint8_t* data() const { return buf_ ? buf_->data() : nullptr; }
+  /// The part of this view that `part` covers, sharing its allocation.
+  /// Throws std::out_of_range unless `part` lies inside this view; an empty
+  /// `part` gives an empty view.
+  SharedBytes view(std::span<const std::uint8_t> part) const {
+    if (part.empty()) return {};
+    std::less<const std::uint8_t*> before;
+    if (data_ == nullptr || before(part.data(), data_) ||
+        before(data_ + size_, part.data() + part.size())) {
+      throw std::out_of_range("view outside its buffer");
+    }
+    SharedBytes v;
+    v.buf_ = buf_;
+    v.data_ = part.data();
+    v.size_ = part.size();
+    return v;
+  }
+
+  /// The whole allocation this view lies in (empty when it pins none).
+  SharedBytes buffer() const {
+    SharedBytes b;
+    if (buf_) {
+      b.buf_ = buf_;
+      b.data_ = buf_->data();
+      b.size_ = buf_->size();
+    }
+    return b;
+  }
+
+  /// First byte of the view; nullptr when empty.
+  const std::uint8_t* data() const { return data_; }
+  std::size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
+  std::span<const std::uint8_t> span() const { return {data_, size_}; }
+  /// An owned copy of the bytes.  Explicit, so no copy is ever implicit.
+  explicit operator std::vector<std::uint8_t>() const {
+    return std::vector<std::uint8_t>(data_, data_ + size_);
+  }
 
   friend bool operator==(const SharedBytes& a, const SharedBytes& b) {
-    return a.buf_ == b.buf_ || a.vec() == b.vec();
+    return (a.data_ == b.data_ && a.size_ == b.size_) ||
+           std::ranges::equal(a.span(), b.span());
   }
 
  private:
-  inline static const std::vector<std::uint8_t> kNoBytes{};
   std::shared_ptr<const std::vector<std::uint8_t>> buf_;
-};
-
-/// A sub-range of a SharedBytes buffer that keeps the whole buffer alive:
-/// one op of a batched log entry, or the value inside a put command, held
-/// by a state machine at the cost of a reference, not a copy.  Equality
-/// compares content.
-class ByteSlice {
- public:
-  ByteSlice() = default;
-  /// The whole of `buf`.
-  explicit ByteSlice(SharedBytes buf)
-      : buf_(std::move(buf)), len_(buf_.size()) {}
-  /// The part of `buf` that `part` views.  Throws std::out_of_range unless
-  /// `part` lies inside `buf`; an empty `part` is an empty slice.
-  ByteSlice(SharedBytes buf, std::span<const std::uint8_t> part)
-      : buf_(std::move(buf)), len_(part.size()) {
-    if (part.empty()) return;
-    const std::uint8_t* lo = buf_.data();
-    const std::uint8_t* hi = lo + buf_.size();
-    std::less<const std::uint8_t*> before;
-    if (lo == nullptr || before(part.data(), lo) ||
-        before(hi, part.data() + part.size())) {
-      throw std::out_of_range("slice outside its buffer");
-    }
-    off_ = static_cast<std::size_t>(part.data() - lo);
-  }
-
-  const std::uint8_t* data() const {
-    return buf_.empty() ? nullptr : buf_.data() + off_;
-  }
-  std::size_t size() const { return len_; }
-  std::span<const std::uint8_t> span() const { return {data(), len_}; }
-  /// The buffer this slice pins.
-  const SharedBytes& buffer() const { return buf_; }
-
-  friend bool operator==(const ByteSlice& a, const ByteSlice& b) {
-    return std::ranges::equal(a.span(), b.span());
-  }
-
- private:
-  SharedBytes buf_;
-  std::size_t off_ = 0;
-  std::size_t len_ = 0;
+  const std::uint8_t* data_ = nullptr;
+  std::size_t size_ = 0;
 };
 
 class ByteWriter {

@@ -4,6 +4,8 @@
 #include <cctype>
 #include <cstdio>
 #include <cstdlib>
+#include <map>
+#include <thread>
 
 namespace jupiter {
 
@@ -12,12 +14,14 @@ std::atomic<LogLevel> g_level{LogLevel::kWarning};
 std::atomic<bool> g_initialized{false};
 std::mutex g_mu;
 
-// Guarded by g_mu.
-const void* g_clock_owner = nullptr;
-std::function<std::string()> g_clock;
+// Each thread's resting clock, guarded by g_mu.
+std::map<std::thread::id, const LogClock*> g_resting;
 
-// Per-thread line tag; no lock needed (each thread reads only its own).
-thread_local std::string g_tag;
+// The calling thread's context; no lock needed (each thread reads only its
+// own, and a helper reads its batch caller's while the caller waits).
+thread_local const LogContext* t_ctx = nullptr;
+
+const std::string kNoTag;
 
 const char* level_tag(LogLevel level) {
   switch (level) {
@@ -85,36 +89,51 @@ LogLevel log_level() {
   return g_level.load();
 }
 
-void set_log_clock(const void* owner, std::function<std::string()> clock) {
+void set_log_clock(const LogClock* clock) {
   std::lock_guard lk(g_mu);
-  if (g_clock_owner && g_clock_owner != owner) return;  // first owner wins
-  g_clock_owner = owner;
-  g_clock = std::move(clock);
+  g_resting.try_emplace(std::this_thread::get_id(), clock);  // first wins
 }
 
-void clear_log_clock(const void* owner) {
+void clear_log_clock(const LogClock* clock) {
   std::lock_guard lk(g_mu);
-  if (g_clock_owner != owner) return;
-  g_clock_owner = nullptr;
-  g_clock = nullptr;
+  std::erase_if(g_resting,
+                [clock](const auto& e) { return e.second == clock; });
 }
 
-const std::string& log_tag() { return g_tag; }
+const LogContext* log_context() { return t_ctx; }
 
-LogTagScope::LogTagScope(std::string tag) : prev_(std::move(g_tag)) {
-  g_tag = std::move(tag);
+LogContextScope::LogContextScope(const LogContext* ctx) : prev_(t_ctx) {
+  t_ctx = ctx;
 }
 
-LogTagScope::~LogTagScope() { g_tag = std::move(prev_); }
+LogContextScope::~LogContextScope() { t_ctx = prev_; }
+
+const std::string& log_tag() {
+  return t_ctx != nullptr && t_ctx->tag != nullptr ? *t_ctx->tag : kNoTag;
+}
+
+LogTagScope::LogTagScope(std::string tag)
+    : tag_(std::move(tag)),
+      ctx_{&tag_, t_ctx != nullptr ? t_ctx->clock : nullptr},
+      scope_(&ctx_) {}
+
+LogClockScope::LogClockScope(const LogClock* clock)
+    : ctx_{t_ctx != nullptr ? t_ctx->tag : nullptr, clock}, scope_(&ctx_) {}
 
 void log_line(LogLevel level, const std::string& msg) {
   ensure_init();
   if (level < g_level.load()) return;
-  std::string tag = g_tag.empty() ? std::string() : "[" + g_tag + "] ";
+  const std::string& t = log_tag();
+  std::string tag = t.empty() ? std::string() : "[" + t + "] ";
   std::lock_guard lk(g_mu);
-  if (g_clock) {
+  const LogClock* clock = t_ctx != nullptr ? t_ctx->clock : nullptr;
+  if (clock == nullptr) {
+    auto it = g_resting.find(std::this_thread::get_id());
+    if (it != g_resting.end()) clock = it->second;
+  }
+  if (clock != nullptr) {
     std::fprintf(stderr, "[%s] %s%s | %s\n", level_tag(level), tag.c_str(),
-                 g_clock().c_str(), msg.c_str());
+                 clock->log_time().c_str(), msg.c_str());
   } else {
     std::fprintf(stderr, "[%s] %s%s\n", level_tag(level), tag.c_str(),
                  msg.c_str());

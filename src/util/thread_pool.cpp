@@ -4,6 +4,8 @@
 #include <atomic>
 #include <memory>
 
+#include "util/log.hpp"
+
 namespace jupiter {
 
 ThreadPool::ThreadPool(std::size_t threads) {
@@ -86,10 +88,13 @@ namespace {
 /// the calling thread all drain the same cursor, and completion is tracked
 /// per batch rather than through the pool's global in-flight count.  That
 /// makes parallel_for safe to call from inside a pool task (a nested call
-/// never blocks on pool state that includes its own caller).
+/// never blocks on pool state that includes its own caller).  Helpers log
+/// under the caller's context, which outlives the batch's work: the caller
+/// waits for every index to finish.
 struct Batch {
   std::function<void(std::size_t)> fn;
   std::size_t n = 0;
+  const LogContext* log = nullptr;
   std::atomic<std::size_t> next{0};
   std::size_t done = 0;  // guarded by mu
   std::mutex mu;
@@ -97,6 +102,7 @@ struct Batch {
 };
 
 void drain_batch(const std::shared_ptr<Batch>& b) {
+  LogContextScope log_scope(b->log);
   std::size_t completed = 0;
   for (;;) {
     std::size_t i = b->next.fetch_add(1, std::memory_order_relaxed);
@@ -123,6 +129,7 @@ void parallel_for(ThreadPool& pool, std::size_t n,
   auto b = std::make_shared<Batch>();
   b->fn = fn;
   b->n = n;
+  b->log = log_context();
   // The caller participates, so n - 1 helpers suffice; helpers that arrive
   // after the cursor is exhausted exit immediately.
   std::size_t helpers = std::min(pool.size(), n - 1);

@@ -1,5 +1,5 @@
-// The apply seam between the Paxos log and the services: ByteSlice, the one
-// batch-framing parser, and the state machines' slice entry.
+// The apply seam between the Paxos log and the services: SharedBytes views,
+// the one batch-framing parser, and the state machines' view entry.
 #include <gtest/gtest.h>
 
 #include <functional>
@@ -23,48 +23,70 @@ std::vector<std::uint8_t> bytes_of(const std::string& s) {
   return {s.begin(), s.end()};
 }
 
-// ---- ByteSlice ------------------------------------------------------------
+// ---- SharedBytes views ------------------------------------------------------
 
-TEST(ByteSlice, ViewsTheWholeBufferOrAPartOfIt) {
+TEST(SharedBytes, ViewsTheWholeBufferOrAPartOfIt) {
   const SharedBytes buf(bytes_of("0123456789"));
-  const ByteSlice whole(buf);
-  EXPECT_EQ(whole.data(), buf.data());
-  EXPECT_EQ(whole.size(), 10u);
-  const ByteSlice part(buf, whole.span().subspan(3, 4));
+  EXPECT_EQ(buf.size(), 10u);
+  EXPECT_EQ(buf.buffer().data(), buf.data());
+  const SharedBytes part = buf.view(buf.span().subspan(3, 4));
   EXPECT_EQ(part.data(), buf.data() + 3);
   EXPECT_EQ(part.size(), 4u);
   EXPECT_EQ(std::string(part.span().begin(), part.span().end()), "3456");
   EXPECT_EQ(part.buffer().data(), buf.data());
+  EXPECT_EQ(part.buffer().size(), 10u);
+  // A view of a view still lies in the first allocation.
+  const SharedBytes inner = part.view(part.span().subspan(1, 2));
+  EXPECT_EQ(inner.data(), buf.data() + 4);
+  EXPECT_EQ(inner.buffer().data(), buf.data());
 }
 
-TEST(ByteSlice, EqualityComparesContent) {
+TEST(SharedBytes, EqualityComparesContent) {
   const SharedBytes a(bytes_of("xxabcxx"));
   const SharedBytes b(bytes_of("abc"));
-  const ByteSlice in_a(a, ByteSlice(a).span().subspan(2, 3));
-  EXPECT_EQ(in_a, ByteSlice(b));
-  EXPECT_NE(ByteSlice(a), ByteSlice(b));
-  EXPECT_EQ(ByteSlice(), ByteSlice(SharedBytes()));
+  const SharedBytes in_a = a.view(a.span().subspan(2, 3));
+  EXPECT_EQ(in_a, b);
+  EXPECT_NE(a, b);
+  EXPECT_EQ(SharedBytes(), SharedBytes(std::vector<std::uint8_t>{}));
+  EXPECT_EQ(a.view({}), SharedBytes());
 }
 
-TEST(ByteSlice, KeepsItsBufferAlive) {
-  ByteSlice kept;
+TEST(SharedBytes, KeepsItsBufferAlive) {
+  SharedBytes kept;
   {
     const SharedBytes buf(bytes_of("payload"));
-    kept = ByteSlice(buf, ByteSlice(buf).span().subspan(3));
+    kept = buf.view(buf.span().subspan(3));
   }
   EXPECT_EQ(std::string(kept.span().begin(), kept.span().end()), "load");
 }
 
-TEST(ByteSlice, RejectsAPartOutsideItsBuffer) {
+TEST(SharedBytes, RejectsAPartOutsideItsBuffer) {
   const SharedBytes buf(bytes_of("0123456789"));
   const std::vector<std::uint8_t> other = bytes_of("0123456789");
-  EXPECT_THROW(ByteSlice(buf, std::span<const std::uint8_t>(other)),
-               std::out_of_range);
+  EXPECT_THROW(buf.view(other), std::out_of_range);
   const std::span<const std::uint8_t> tail(buf.data() + 8, 2);
-  EXPECT_EQ(ByteSlice(buf, tail).data(), buf.data() + 8);
-  EXPECT_THROW(ByteSlice(SharedBytes(), std::span<const std::uint8_t>(other)),
-               std::out_of_range);
-  EXPECT_EQ(ByteSlice(buf, std::span<const std::uint8_t>()).size(), 0u);
+  EXPECT_EQ(buf.view(tail).data(), buf.data() + 8);
+  // A view only reaches inside itself, not the rest of its allocation.
+  const SharedBytes head = buf.view(buf.span().first(4));
+  EXPECT_THROW(head.view(tail), std::out_of_range);
+  EXPECT_THROW(SharedBytes().view(other), std::out_of_range);
+  EXPECT_EQ(buf.view(std::span<const std::uint8_t>()).size(), 0u);
+}
+
+TEST(SharedBytes, MovingLeavesTheSourceEmptyAndCopyingIsExplicit) {
+  SharedBytes a(bytes_of("abc"));
+  const std::uint8_t* at = a.data();
+  SharedBytes b(std::move(a));
+  EXPECT_TRUE(a.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(a.data(), nullptr);  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(b.data(), at);
+  SharedBytes c;
+  c = std::move(b);
+  EXPECT_TRUE(b.empty());  // NOLINT(bugprone-use-after-move)
+  EXPECT_EQ(c.data(), at);
+  const std::vector<std::uint8_t> copy(c.view(c.span().subspan(1)));
+  EXPECT_EQ(copy, bytes_of("bc"));
+  EXPECT_NE(copy.data(), at + 1);
 }
 
 // ---- batch framing --------------------------------------------------------
@@ -79,8 +101,8 @@ TEST(BatchFraming, OpsRoundTripThroughBothParsers) {
   ASSERT_EQ(copies.size(), ops.size());
   for (std::size_t i = 0; i < ops.size(); ++i) {
     EXPECT_EQ(std::vector<std::uint8_t>(views[i].begin(), views[i].end()),
-              ops[i].vec());
-    EXPECT_EQ(copies[i], ops[i].vec());
+              std::vector<std::uint8_t>(ops[i]));
+    EXPECT_EQ(copies[i], std::vector<std::uint8_t>(ops[i]));
     // The views point into the batch itself.
     if (!views[i].empty()) {
       EXPECT_GE(views[i].data(), batch.data());
@@ -118,7 +140,7 @@ TEST(BatchFraming, MalformedBatchThrowsTheSameErrorFromBothParsers) {
 // ---- state machines -------------------------------------------------------
 
 /// Implements only the vector entry, as a timing or recording decorator
-/// does: the slice entry reaches it through StateMachine's copying default.
+/// does: the view entry reaches it through StateMachine's copying default.
 class VectorOnlyDecorator final : public paxos::StateMachine {
  public:
   explicit VectorOnlyDecorator(paxos::StateMachine& inner) : inner_(inner) {}
@@ -154,14 +176,14 @@ TEST(ApplySeam, VectorOnlyDecoratorBuildsTheSameKvStore) {
   storage::KvStoreState direct;
   storage::KvStoreState inner;
   VectorOnlyDecorator decorated(inner);
-  // Both receive the ops as slices of one batch, as Replica::apply_full
+  // Both receive the ops as views of one batch, as Replica::apply_full
   // hands them over.
   std::vector<SharedBytes> ops(commands.begin(), commands.end());
   const SharedBytes batch(paxos::encode_batch(ops));
-  for (auto op : paxos::batch_ops(batch.vec())) {
+  for (auto op : paxos::batch_ops(batch.span())) {
     paxos::StateMachine& d = direct;
     paxos::StateMachine& v = decorated;
-    EXPECT_EQ(d.apply(ByteSlice(batch, op)), v.apply(ByteSlice(batch, op)));
+    EXPECT_EQ(d.apply(batch.view(op)), v.apply(batch.view(op)));
   }
   EXPECT_EQ(decorated.calls, static_cast<int>(commands.size()));
   EXPECT_EQ(direct.keys(), inner.keys());
@@ -169,7 +191,7 @@ TEST(ApplySeam, VectorOnlyDecoratorBuildsTheSameKvStore) {
     EXPECT_EQ(direct.get(key), inner.get(key)) << key;
   }
   EXPECT_EQ(direct.get("a"), bytes_of("three"));
-  // The decorated store copied; the direct one kept slices of the batch.
+  // The decorated store copied; the direct one kept views of the batch.
   EXPECT_EQ(direct.find("a")->buffer().data(), batch.data());
   EXPECT_NE(inner.find("a")->buffer().data(), batch.data());
 }
@@ -201,17 +223,17 @@ TEST(ApplySeam, VectorOnlyDecoratorBuildsTheSameLockTable) {
   for (const SharedBytes& c : commands) {
     paxos::StateMachine& d = direct;
     paxos::StateMachine& v = decorated;
-    EXPECT_EQ(d.apply(ByteSlice(c)), v.apply(ByteSlice(c)));
+    EXPECT_EQ(d.apply(c), v.apply(c));
   }
   EXPECT_EQ(direct.state_digest(), inner.state_digest());
   EXPECT_EQ(direct.open_sessions(), 1u);
 }
 
-TEST(ApplySeam, PutStoresASliceOfItsCommand) {
+TEST(ApplySeam, PutStoresAViewOfItsCommand) {
   storage::KvStoreState sm;
   const SharedBytes put(kv(storage::KvOp::kPut, "key", std::string(4096, 'v')));
-  sm.apply(ByteSlice(put));
-  const ByteSlice* stored = sm.find("key");
+  sm.apply(put);
+  const SharedBytes* stored = sm.find("key");
   ASSERT_NE(stored, nullptr);
   EXPECT_EQ(stored->buffer().data(), put.data());
   EXPECT_EQ(stored->data() + stored->size(), put.data() + put.size());
@@ -223,7 +245,7 @@ TEST(ApplySeam, PutStoresASliceOfItsCommand) {
   EXPECT_EQ(*copy, std::vector<std::uint8_t>(4096, 'v'));
 }
 
-// Every replica of a classic-Paxos KV store keeps each value as a slice of
+// Every replica of a classic-Paxos KV store keeps each value as a view of
 // the payload chosen in its log — one op per slot with the data plane off,
 // coalesced kBatch slots with it on.
 TEST(ApplySeam, StoredValuesLieInsideTheChosenPayload) {
@@ -264,10 +286,9 @@ TEST(ApplySeam, StoredValuesLieInsideTheChosenPayload) {
         }
       }
       for (int i = 0; i < kPuts; ++i) {
-        const ByteSlice* stored = sms[id]->find("k" + std::to_string(i));
+        const SharedBytes* stored = sms[id]->find("k" + std::to_string(i));
         ASSERT_NE(stored, nullptr) << "preset " << preset << " node " << id;
-        EXPECT_EQ(*stored, ByteSlice(SharedBytes(
-                               std::vector<std::uint8_t>(100, 'a' + i))));
+        EXPECT_EQ(*stored, SharedBytes(std::vector<std::uint8_t>(100, 'a' + i)));
         bool inside = false;
         for (const SharedBytes* p : payloads) {
           inside |= stored->buffer().data() == p->data() &&

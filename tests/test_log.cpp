@@ -2,9 +2,18 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
+#include <functional>
+#include <memory>
+#include <sstream>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "fleet/fleet.hpp"
 #include "sim/simulator.hpp"
+#include "util/thread_pool.hpp"
 
 namespace jupiter {
 namespace {
@@ -132,6 +141,73 @@ TEST(Log, NoPrefixAfterLastSimulatorDies) {
   JLOG(kInfo) << "bare line";
   std::string out = ::testing::internal::GetCapturedStderr();
   EXPECT_EQ(out.find(" | "), std::string::npos) << out;
+}
+
+TEST(Log, DestroyingASimulatorOnAnotherThreadClearsItsClock) {
+  LogLevelGuard guard;
+  set_log_level(LogLevel::kInfo);
+  std::unique_ptr<Simulator> sim;
+  std::thread([&sim] { sim = std::make_unique<Simulator>(); }).join();
+  std::string out;
+  std::thread([&sim, &out] {
+    sim.reset();
+    Simulator mine;  // the thread's own clock, not a dangling one
+    mine.schedule_at(SimTime(7200), [] {});
+    mine.run_until(SimTime(7200));
+    ::testing::internal::CaptureStderr();
+    JLOG(kInfo) << "line";
+    out = ::testing::internal::GetCapturedStderr();
+  }).join();
+  EXPECT_NE(out.find(SimTime(7200).str() + " | line"), std::string::npos)
+      << out;
+}
+
+/// The lines logged on stderr while `body` runs, one per entry.
+std::vector<std::string> captured_lines(const std::function<void()>& body) {
+  ::testing::internal::CaptureStderr();
+  body();
+  std::istringstream in(::testing::internal::GetCapturedStderr());
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) lines.push_back(line);
+  return lines;
+}
+
+// A pool helper draining a batch logs with the tag and sim time of the
+// thread that started the batch, whichever thread runs each index.
+TEST(Log, ParallelForHelpersLogUnderTheCallersTagAndClock) {
+  LogLevelGuard guard;
+  set_log_level(LogLevel::kInfo);
+  ThreadPool pool(3);
+  const auto lines = captured_lines([&pool] {
+    LogTagScope tag("cx");
+    Simulator sim;
+    sim.schedule_at(SimTime(5400), [&pool] {
+      parallel_for(pool, 64, [](std::size_t i) { JLOG(kInfo) << "op " << i; });
+    });
+    sim.run_until(SimTime(5400));
+  });
+  ASSERT_EQ(lines.size(), 64u);
+  const std::string stamp = "[cx] " + SimTime(5400).str() + " | op ";
+  for (const std::string& line : lines) {
+    EXPECT_NE(line.find(stamp), std::string::npos) << line;
+  }
+}
+
+// A fleet run's warnings carry their own cluster's tag and sim time, so two
+// runs log the same lines (in whatever order the clusters interleave).
+TEST(Log, FleetRunsLogTheSameLines) {
+  LogLevelGuard guard;
+  set_log_level(LogLevel::kWarning);
+  fleet::FleetOptions opts;
+  opts.services = 100;
+  auto run = [&opts] {
+    auto lines = captured_lines([&opts] { fleet::run_fleet(opts); });
+    std::sort(lines.begin(), lines.end());
+    return lines;
+  };
+  const std::vector<std::string> first = run();
+  ASSERT_FALSE(first.empty());  // the bidder's fallback warnings
+  EXPECT_EQ(run(), first);
 }
 
 }  // namespace

@@ -251,7 +251,9 @@ TEST(SimNetwork, DuplicatedMessagesEachCarryTheFullPayload) {
   net.send(1, std::move(m));
   sim.run_until(SimTime(50));
   ASSERT_EQ(delivered.size(), 3u);
-  for (const auto& payload : delivered) EXPECT_EQ(payload.vec(), sent);
+  for (const auto& payload : delivered) {
+    EXPECT_EQ(std::vector<std::uint8_t>(payload), sent);
+  }
   EXPECT_EQ(net.value_bytes_sent(), 3u * 4096u);
 }
 

@@ -300,7 +300,8 @@ TEST_F(PaxosFixture, ChosenPayloadIsOneBufferOnEveryReplica) {
   ASSERT_TRUE(done);
   const Value* at_lead = group.replica(lead).chosen_value(slot);
   ASSERT_NE(at_lead, nullptr);
-  ASSERT_EQ(at_lead->payload.vec(), cmd(std::string(2000, 'v')));
+  ASSERT_EQ(std::vector<std::uint8_t>(at_lead->payload),
+            cmd(std::string(2000, 'v')));
   for (NodeId id : group.node_ids()) {
     const Value* v = group.replica(id).chosen_value(slot);
     ASSERT_NE(v, nullptr) << "replica " << id;

@@ -3,6 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <bit>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "ec/cpu_dispatch.hpp"
 #include "util/rng.hpp"
@@ -186,6 +189,60 @@ TEST(ReedSolomon, EveryErasurePatternEveryTier) {
           << "pattern " << pattern << " tier " << gf_tier_name(tier);
       if (!first) first = out;
       ASSERT_EQ(*out, *first);
+    }
+  }
+}
+
+// encode_shared gives the owned encode's chunks byte for byte on every
+// tier.  Its data rows that lie wholly inside the payload are views of it;
+// a row that needs zero padding is a copy.  Any m of its chunks decode.
+TEST(ReedSolomon, SharedEncodeMatchesOwnedEncodeEveryTier) {
+  Rng rng(25);
+  for (auto [m, n] : {std::pair{3, 5}, std::pair{2, 4}, std::pair{1, 1}}) {
+    const ReedSolomon rs(m, n);
+    std::vector<long> sizes = {0, 1, m - 1, m, m * (m - 1) - 1, 4096, 4097,
+                               200 * 1024 + 1};
+    std::erase_if(sizes, [](long s) { return s < 0; });
+    for (long size : sizes) {
+      const auto data = random_data(static_cast<std::size_t>(size), rng);
+      const SharedBytes payload(data);
+      for (GfTier tier : gf_supported_tiers()) {
+        GfTierOverride ov(tier);
+        const std::string what = "theta(" + std::to_string(m) + "," +
+                                 std::to_string(n) + ") size " +
+                                 std::to_string(size) + " tier " +
+                                 gf_tier_name(tier);
+        const std::vector<Chunk> owned = rs.encode(data);
+        const std::vector<SharedBytes> shared = rs.encode_shared(payload);
+        ASSERT_EQ(shared.size(), owned.size()) << what;
+        const std::size_t len = owned[0].size();
+        for (std::size_t i = 0; i < shared.size(); ++i) {
+          EXPECT_EQ(std::vector<std::uint8_t>(shared[i]), owned[i])
+              << what << " chunk " << i;
+          const bool in_payload =
+              !payload.empty() && shared[i].buffer().data() == payload.data();
+          const bool unpadded = i < static_cast<std::size_t>(m) &&
+                                (i + 1) * len <= data.size();
+          EXPECT_EQ(in_payload, unpadded) << what << " chunk " << i;
+          if (unpadded) {
+            EXPECT_EQ(shared[i].data(), payload.data() + i * len)
+                << what << " chunk " << i;
+          }
+        }
+        // Every m-subset of the n chunks decodes back to the payload.
+        for (unsigned pattern = 0; pattern < (1u << n); ++pattern) {
+          if (std::popcount(pattern) != m) continue;
+          std::vector<ChunkView> have;
+          for (int i = 0; i < n; ++i) {
+            if (pattern & (1u << i)) {
+              have.emplace_back(i, shared[static_cast<std::size_t>(i)].span());
+            }
+          }
+          auto out = rs.decode(have, data.size());
+          ASSERT_TRUE(out.has_value()) << what << " pattern " << pattern;
+          EXPECT_EQ(*out, data) << what << " pattern " << pattern;
+        }
+      }
     }
   }
 }

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
+#include <string>
+#include <vector>
 
 #include "obs/obs.hpp"
 #include "paxos/group.hpp"
@@ -301,6 +304,94 @@ TEST(RsPaxosDataPlane, ChunkLogsOfBatchedPutsReconstructTheStore) {
     EXPECT_EQ(std::string(v->begin(), v->end()),
               "value-" + std::to_string(i));
   }
+}
+
+// Systematic chunks are views of the leader's proposed payload: each
+// follower's unpadded data chunk lies inside the very buffer the leader's
+// store keeps its values in.  Only a chunk that needed zero padding, or a
+// parity chunk, has bytes of its own.  The chunk-log and wire byte counts
+// are those of a copying encode (kChunkBytes and kSentBytes were measured
+// with one).
+TEST(RsPaxosDataPlane, SystematicChunksViewTheLeaderPayload) {
+  constexpr std::uint64_t kChunkBytes = 32616;
+  constexpr std::uint64_t kSentBytes = 86976;
+  Replica::Options opts = rs_options();
+  opts.plane = ClusterHarness::data_plane_preset();
+  Simulator sim;
+  SimNetwork net(sim, 31);
+  std::map<NodeId, KvStoreState*> sms;
+  Group group(sim, net, opts,
+              [&sms](NodeId id) {
+                auto sm = std::make_unique<KvStoreState>();
+                sms[id] = sm.get();
+                return sm;
+              },
+              777);
+  group.bootstrap(5);
+  sim.run_until(sim.now() + 120);
+  const NodeId lead = group.leader_id();
+  ASSERT_GE(lead, 0);
+  const std::uint64_t sent_before = net.value_bytes_sent();
+
+  // One batch per round; a value one byte longer per round moves the batch
+  // size through every residue mod 3.
+  KvClient client(group);
+  constexpr int kRounds = 6;
+  constexpr int kPerRound = 4;
+  int acked = 0;
+  for (int r = 0; r < kRounds; ++r) {
+    sim.schedule_after(r, [&client, &acked, r] {
+      for (int i = 0; i < kPerRound; ++i) {
+        const int k = r * kPerRound + i;
+        client.put("k" + std::to_string(k),
+                   std::vector<std::uint8_t>(1000 + static_cast<std::size_t>(r),
+                                             static_cast<std::uint8_t>('a' + k)),
+                   [&acked](KvResponse resp) {
+                     if (resp.status == KvStatus::kOk) ++acked;
+                   });
+      }
+    });
+  }
+  sim.run_until(sim.now() + 300);
+  ASSERT_EQ(acked, kRounds * kPerRound);
+
+  std::vector<SharedBytes> leader_buffers;
+  for (int k = 0; k < kRounds * kPerRound; ++k) {
+    const SharedBytes* v = sms[lead]->find("k" + std::to_string(k));
+    ASSERT_NE(v, nullptr) << k;
+    leader_buffers.push_back(v->buffer());
+  }
+  auto in_leader_buffer = [&leader_buffers](const SharedBytes& c) {
+    return std::ranges::any_of(leader_buffers, [&c](const SharedBytes& b) {
+      return c.buffer().data() == b.data() && c.data() >= b.data() &&
+             c.data() + c.size() <= b.data() + b.size();
+    });
+  };
+  int views = 0, owned = 0;
+  bool multiple_of_3 = false, not_multiple_of_3 = false;
+  std::uint64_t chunk_bytes = 0;
+  for (NodeId id : group.node_ids()) {
+    if (id == lead) continue;
+    for (const auto& [vid, c] : sms[id]->chunks()) {
+      const std::size_t len = (c.full_size + 2) / 3;
+      ASSERT_EQ(c.bytes.size(), len);
+      const bool unpadded =
+          c.chunk_index < 3 &&
+          static_cast<std::size_t>(c.chunk_index + 1) * len <= c.full_size;
+      EXPECT_EQ(in_leader_buffer(c.bytes), unpadded)
+          << "node " << id << " chunk " << c.chunk_index << " of "
+          << c.full_size << " bytes";
+      ++(unpadded ? views : owned);
+      (c.full_size % 3 == 0 ? multiple_of_3 : not_multiple_of_3) = true;
+    }
+    chunk_bytes += sms[id]->chunk_bytes();
+  }
+  EXPECT_GT(views, 0);
+  EXPECT_GT(owned, 0);
+  EXPECT_TRUE(multiple_of_3);
+  EXPECT_TRUE(not_multiple_of_3);
+  EXPECT_EQ(chunk_bytes, kChunkBytes);
+  EXPECT_EQ(net.value_bytes_sent() - sent_before, kSentBytes);
 }
 
 // A follower applies a batched slot as its chunk only.  When it becomes
